@@ -1,5 +1,5 @@
 //! A blocking line-protocol client: the helper the integration tests, the
-//! throughput bench and the `pka-serve probe` subcommand all drive the
+//! throughput bench and the `pka probe` subcommand all drive the
 //! server with.
 
 use crate::error::ServeError;

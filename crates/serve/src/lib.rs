@@ -67,8 +67,8 @@ pub use server::{
 };
 
 // Termination-signal plumbing, re-exported so binaries built on this
-// crate (pka-serve itself, pka-fabric) can route SIGTERM to a graceful
-// drain without depending on `pka-net` directly.
+// crate (the `pka` binary) can route SIGTERM to a graceful drain without
+// depending on `pka-net` directly.
 pub use pka_net::{watch_termination, TerminationWatch};
 
 /// Convenient result alias used throughout the crate.

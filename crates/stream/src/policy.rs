@@ -24,6 +24,25 @@ pub enum RefreshPolicy {
 }
 
 impl RefreshPolicy {
+    /// Parses a CLI spec: `manual`, `every=<tuples>` or `fraction=<growth>`,
+    /// rejecting parameters [`RefreshPolicy::validate`] would refuse.
+    pub fn parse(spec: &str) -> Result<Self> {
+        let bad = || StreamError::InvalidConfig {
+            reason: format!("unknown refresh policy `{spec}` (want manual, every=N or fraction=F)"),
+        };
+        let policy = if spec == "manual" {
+            RefreshPolicy::Manual
+        } else if let Some(n) = spec.strip_prefix("every=") {
+            RefreshPolicy::EveryNTuples(n.parse().map_err(|_| bad())?)
+        } else if let Some(f) = spec.strip_prefix("fraction=") {
+            RefreshPolicy::DirtyFraction(f.parse().map_err(|_| bad())?)
+        } else {
+            return Err(bad());
+        };
+        policy.validate()?;
+        Ok(policy)
+    }
+
     /// Validates the policy's parameters.
     pub fn validate(&self) -> Result<()> {
         match *self {
@@ -90,6 +109,34 @@ mod tests {
     #[test]
     fn manual_never_trips() {
         assert!(!RefreshPolicy::Manual.should_refresh(u64::MAX, 0));
+    }
+
+    #[test]
+    fn parse_reads_every_cli_spelling() {
+        assert_eq!(RefreshPolicy::parse("manual").unwrap(), RefreshPolicy::Manual);
+        assert_eq!(RefreshPolicy::parse("every=128").unwrap(), RefreshPolicy::EveryNTuples(128));
+        assert_eq!(
+            RefreshPolicy::parse("fraction=0.25").unwrap(),
+            RefreshPolicy::DirtyFraction(0.25)
+        );
+    }
+
+    #[test]
+    fn parse_rejects_malformed_specs() {
+        for spec in [
+            "",
+            "Manual",
+            "sometimes",
+            "every=",
+            "every=x",
+            "every=-1",
+            "every=0",
+            "fraction=0",
+            "fraction=-0.5",
+            "fraction=nan",
+        ] {
+            assert!(RefreshPolicy::parse(spec).is_err(), "`{spec}` should be refused");
+        }
     }
 
     #[test]
