@@ -24,7 +24,11 @@ impl EmpiricalModel {
     /// `alpha` pseudo-observations before normalising.
     pub fn fit_smoothed(table: &ContingencyTable, alpha: f64) -> Self {
         assert!(alpha >= 0.0 && alpha.is_finite(), "alpha must be a non-negative finite number");
-        let weights: Vec<f64> = table.counts().iter().map(|&c| c as f64 + alpha).collect();
+        let schema = table.schema();
+        let mut weights = vec![alpha; table.cell_count()];
+        for (values, count) in table.nonzero_cells() {
+            weights[schema.cell_index(&values)] += count as f64;
+        }
         Self { joint: JointDistribution::from_unnormalized(table.shared_schema(), weights), alpha }
     }
 

@@ -22,7 +22,7 @@ fn fig1(c: &mut Criterion) {
 
     // Correctness gate: the regenerated table must match Figure 1 exactly.
     let table = pka_bench::fig1_contingency();
-    assert_eq!(table.counts(), pka_datagen::smoking::table().counts());
+    assert_eq!(table, pka_datagen::smoking::table());
     assert_eq!(table.total(), 3428);
 }
 

@@ -93,9 +93,7 @@ fn engine_stream(c: &mut Criterion) {
     group.throughput(Throughput::Elements(50_000));
     group.bench_function("stream_50_batches_dirty10pct", |b| {
         b.iter(|| {
-            let config = StreamConfig::new()
-                .with_shard_count(4)
-                .with_policy(RefreshPolicy::DirtyFraction(0.1));
+            let config = StreamConfig::new().with_policy(RefreshPolicy::DirtyFraction(0.1));
             let mut engine = StreamingEngine::new(Arc::clone(&schema), config).unwrap();
             for batch in &batches {
                 engine.ingest_dataset(batch).unwrap();

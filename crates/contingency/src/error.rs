@@ -67,6 +67,14 @@ pub enum ContingencyError {
     /// observations; it means a forged or corrupted payload supplied
     /// near-maximal counts, or two such tables were merged.
     CountOverflow,
+    /// A sparse cell list handed to
+    /// [`crate::ContingencyTable::from_cells`] broke one of its invariants:
+    /// ids strictly ascending and inside the schema, counts at least 1,
+    /// counts summing to the stated total.
+    MalformedCells {
+        /// Which invariant failed, and where.
+        reason: String,
+    },
     /// The schema would produce more cells than can be indexed.
     TableTooLarge {
         /// The (saturated) number of cells requested.
@@ -111,6 +119,7 @@ impl fmt::Display for ContingencyError {
             Self::CountOverflow => {
                 write!(f, "cell counts overflow the 64-bit observation total")
             }
+            Self::MalformedCells { reason } => write!(f, "malformed cell list: {reason}"),
             Self::TableTooLarge { cells, max } => {
                 write!(f, "table would have {cells} cells which exceeds the supported maximum {max}")
             }
@@ -153,6 +162,7 @@ mod tests {
             ContingencyError::CountLength { got: 4, expected: 12 },
             ContingencyError::InvalidAssignment { reason: "why".into() },
             ContingencyError::CountOverflow,
+            ContingencyError::MalformedCells { reason: "why".into() },
             ContingencyError::TableTooLarge { cells: 10, max: 5 },
             ContingencyError::Csv { line: 7, reason: "bad".into() },
         ];

@@ -18,9 +18,9 @@
 //!   value *other*" convention is the caller's responsibility; helpers exist).
 //! * [`Sample`] and [`Dataset`] — raw observations in attribute-tuple form
 //!   (Figure 5 / Figure 6 of the memo).
-//! * [`ContingencyTable`] — dense counts over the full cross-product with
-//!   mixed-radix cell indexing, plus marginalisation ([`Marginal`],
-//!   Figure 2 / Eqs. 1–6).
+//! * [`ContingencyTable`] — counts over the full cross-product with
+//!   mixed-radix cell indexing, storing observed cells only, plus
+//!   marginalisation ([`Marginal`], Figure 2 / Eqs. 1–6).
 //! * [`VarSet`] and [`Assignment`] — compact descriptions of attribute
 //!   subsets and value assignments on them; these are the vocabulary used by
 //!   the maximum-entropy and significance crates to talk about constraints

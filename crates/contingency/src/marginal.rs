@@ -35,14 +35,10 @@ impl Marginal {
             members.iter().map(|&i| schema.cardinality(i).expect("member in schema")).collect();
         let cells: usize = cards.iter().product();
         let mut counts = vec![0u64; cells.max(1)];
-        for (idx, &c) in table.counts().iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let values = schema.cell_values(idx);
+        for &(cell, c) in table.entries() {
             let mut m = 0usize;
             for (pos, &attr) in members.iter().enumerate() {
-                m = m * cards[pos] + values[attr];
+                m = m * cards[pos] + schema.cell_value(cell, attr);
             }
             counts[m] += c;
         }

@@ -1,4 +1,4 @@
-//! Dense contingency tables — the memo's `N_{ijk…}` cell counts.
+//! Sparse contingency tables — the memo's `N_{ijk…}` cell counts.
 
 use crate::config::Assignment;
 use crate::marginal::Marginal;
@@ -6,71 +6,77 @@ use crate::sample::Sample;
 use crate::schema::Schema;
 use crate::varset::VarSet;
 use crate::{ContingencyError, Result};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A dense table of observation counts over the full attribute
-/// cross-product.
+/// A table of observation counts over the full attribute cross-product,
+/// storing only the cells that have been observed.
 ///
 /// Cell `N_{ijk…}` — the number of individuals with the *i*-th value of
-/// attribute `A`, the *j*-th value of `B`, … — is stored at the mixed-radix
-/// index computed by [`Schema::cell_index`].  All marginal counts
-/// (Eqs. 1–6 of the memo) are obtained by summation, either one query at a
-/// time ([`ContingencyTable::count_matching`]) or as a whole marginal table
-/// ([`ContingencyTable::marginal`]).
+/// attribute `A`, the *j*-th value of `B`, … — is identified by the
+/// mixed-radix index computed by [`Schema::cell_index`].  Only observed
+/// cells carry information, so only they are stored: a contiguous list of
+/// `(cell, count)` entries (every count ≥ 1) plus a cell → slot hash index
+/// for increments and lookups.  All marginal counts (Eqs. 1–6 of the memo)
+/// are sums over that entry list, either one query at a time
+/// ([`ContingencyTable::count_matching`]) or as a whole marginal table
+/// ([`ContingencyTable::marginal`]), so every operation costs O(distinct
+/// observed cells) — on a wide schema (2^20 cells, a few hundred observed)
+/// nothing walks or allocates the full joint.
 ///
-/// Counts only ever grow (there is no decrement), so the table also keeps
-/// `occupied` — the indices of every cell that has ever been observed, in
-/// first-observation order.  Marginal queries sum over that sparse set, so
-/// their cost scales with the number of *distinct observed cells*, not with
-/// the joint's cell count: on a wide schema (2^20 cells, a few hundred
-/// observed) a [`ContingencyTable::count_matching`] call touches hundreds of
-/// cells, not a million.  `occupied` is derived state: it is skipped on
-/// serialisation (the wire format is just `schema`/`counts`/`total`),
-/// rebuilt on deserialisation, and excluded from equality.
-#[derive(Debug, Clone, Serialize)]
+/// The wire form is `{"schema": …, "cells": [[id, count], …], "total": N}`
+/// with ids strictly ascending; [`ContingencyTable::from_cells`] is the one
+/// constructor that validates it.
+#[derive(Debug, Clone)]
 pub struct ContingencyTable {
     schema: Arc<Schema>,
-    counts: Vec<u64>,
+    /// `(cell index, count)` per observed cell, in first-observation order.
+    entries: Vec<(usize, u64)>,
+    /// Cell index → position of its entry in `entries`.
+    slots: HashMap<usize, usize>,
     total: u64,
-    #[serde(skip)]
-    occupied: Vec<usize>,
 }
 
+/// Two tables are equal iff they have the same schema and the same count in
+/// every cell; the order in which cells were first observed does not matter.
 impl PartialEq for ContingencyTable {
     fn eq(&self, other: &Self) -> bool {
-        // `occupied` is derived (and order-sensitive to ingestion history);
-        // two tables are equal iff their observable counts are.
-        self.schema == other.schema && self.counts == other.counts && self.total == other.total
+        self.schema == other.schema
+            && self.total == other.total
+            && self.entries.len() == other.entries.len()
+            && self.entries.iter().all(|&(cell, count)| other.count_at(cell) == count)
     }
 }
 
 impl Eq for ContingencyTable {}
 
-impl Deserialize for ContingencyTable {
-    fn deserialize(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        #[derive(Deserialize)]
-        struct Raw {
-            schema: Arc<Schema>,
-            counts: Vec<u64>,
-            total: u64,
-        }
-        let raw = Raw::deserialize(value)?;
-        let occupied = occupied_of(&raw.counts);
-        Ok(Self { schema: raw.schema, counts: raw.counts, total: raw.total, occupied })
+impl Serialize for ContingencyTable {
+    fn serialize(&self) -> Value {
+        let mut cells = self.entries.clone();
+        cells.sort_unstable();
+        Value::Object(vec![
+            ("schema".to_string(), self.schema.serialize()),
+            ("cells".to_string(), cells.serialize()),
+            ("total".to_string(), Value::U64(self.total)),
+        ])
     }
 }
 
-/// The nonzero cell indices of a dense count vector, in index order.
-fn occupied_of(counts: &[u64]) -> Vec<usize> {
-    counts.iter().enumerate().filter(|&(_, &c)| c > 0).map(|(i, _)| i).collect()
+impl Deserialize for ContingencyTable {
+    fn deserialize(value: &Value) -> std::result::Result<Self, serde::Error> {
+        let schema: Arc<Schema> = serde::de_field(value, "schema")?;
+        let cells: Vec<(usize, u64)> = serde::de_field(value, "cells")?;
+        let total: u64 = serde::de_field(value, "total")?;
+        Self::from_cells(schema, cells, total).map_err(|e| serde::Error::custom(e.to_string()))
+    }
 }
 
 impl ContingencyTable {
     /// Creates an all-zero table over a schema.
     pub fn zeros(schema: Arc<Schema>) -> Self {
-        let cells = schema.cell_count();
-        Self { schema, counts: vec![0; cells], total: 0, occupied: Vec::new() }
+        Self { schema, entries: Vec::new(), slots: HashMap::new(), total: 0 }
     }
 
     /// Creates a table from explicit cell counts in dense-index order.
@@ -91,8 +97,39 @@ impl ContingencyTable {
             .iter()
             .try_fold(0u64, |acc, &c| acc.checked_add(c))
             .ok_or(ContingencyError::CountOverflow)?;
-        let occupied = occupied_of(&counts);
-        Ok(Self { schema, counts, total, occupied })
+        let cells = counts.into_iter().enumerate().filter(|&(_, c)| c > 0).collect();
+        Self::from_cells(schema, cells, total)
+    }
+
+    /// Creates a table from its observed cells — the constructor behind the
+    /// wire form, so it trusts nothing: ids must be strictly ascending and
+    /// below the schema's cell count, every count must be at least 1, and
+    /// the counts must sum (without overflow) to `total`.
+    pub fn from_cells(schema: Arc<Schema>, cells: Vec<(usize, u64)>, total: u64) -> Result<Self> {
+        let malformed = |reason: String| ContingencyError::MalformedCells { reason };
+        let mut sum = 0u64;
+        for (i, &(cell, count)) in cells.iter().enumerate() {
+            if cell >= schema.cell_count() {
+                return Err(malformed(format!(
+                    "cell {cell} is outside the schema's {} cells",
+                    schema.cell_count()
+                )));
+            }
+            if i > 0 && cells[i - 1].0 >= cell {
+                return Err(malformed(format!("cell {cell} is out of order or repeated")));
+            }
+            if count == 0 {
+                return Err(malformed(format!("cell {cell} carries a zero count")));
+            }
+            sum = sum.checked_add(count).ok_or(ContingencyError::CountOverflow)?;
+        }
+        if sum != total {
+            return Err(malformed(format!(
+                "table claims {total} tuples but its cells sum to {sum}"
+            )));
+        }
+        let slots = cells.iter().enumerate().map(|(slot, &(cell, _))| (cell, slot)).collect();
+        Ok(Self { schema, entries: cells, slots, total })
     }
 
     /// The schema the table is defined over.
@@ -110,14 +147,31 @@ impl ContingencyTable {
         self.total
     }
 
-    /// The raw cell counts in dense-index order.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Number of cells.
     pub fn cell_count(&self) -> usize {
-        self.counts.len()
+        self.schema.cell_count()
+    }
+
+    /// `(cell index, count)` for every observed cell, in no particular
+    /// order — the walk behind every marginal sum.
+    pub(crate) fn entries(&self) -> &[(usize, u64)] {
+        &self.entries
+    }
+
+    /// Count of the cell with the given dense index (0 if unobserved).
+    fn count_at(&self, cell: usize) -> u64 {
+        self.slots.get(&cell).map_or(0, |&slot| self.entries[slot].1)
+    }
+
+    /// Adds `by` ≥ 1 to one cell; the caller keeps `total` in step.
+    fn add(&mut self, cell: usize, by: u64) {
+        match self.slots.entry(cell) {
+            Entry::Occupied(slot) => self.entries[*slot.get()].1 += by,
+            Entry::Vacant(slot) => {
+                slot.insert(self.entries.len());
+                self.entries.push((cell, by));
+            }
+        }
     }
 
     /// Adds one observation with the given full value assignment.
@@ -127,12 +181,11 @@ impl ContingencyTable {
 
     /// Adds `by` observations with the given full value assignment.
     pub fn increment_by(&mut self, values: &[usize], by: u64) -> Result<()> {
-        let idx = self.schema.checked_cell_index(values)?;
-        if by > 0 && self.counts[idx] == 0 {
-            self.occupied.push(idx);
+        let cell = self.schema.checked_cell_index(values)?;
+        if by > 0 {
+            self.total = self.total.checked_add(by).ok_or(ContingencyError::CountOverflow)?;
+            self.add(cell, by);
         }
-        self.counts[idx] += by;
-        self.total += by;
         Ok(())
     }
 
@@ -142,12 +195,12 @@ impl ContingencyTable {
     /// Panics (in debug builds) if the assignment is malformed; use
     /// [`ContingencyTable::checked_count_values`] for fallible lookup.
     pub fn count_values(&self, values: &[usize]) -> u64 {
-        self.counts[self.schema.cell_index(values)]
+        self.count_at(self.schema.cell_index(values))
     }
 
     /// Fallible version of [`ContingencyTable::count_values`].
     pub fn checked_count_values(&self, values: &[usize]) -> Result<u64> {
-        Ok(self.counts[self.schema.checked_cell_index(values)?])
+        Ok(self.count_at(self.schema.checked_cell_index(values)?))
     }
 
     /// Count of observations matching a partial assignment — the marginal
@@ -164,16 +217,15 @@ impl ContingencyTable {
             }
             return self.count_values(&full);
         }
-        // Sum over the observed cells only: with no decrements, `occupied`
-        // is exactly the nonzero support, so the walk costs O(distinct
+        // Sum over the observed cells only: the walk costs O(distinct
         // observed cells) however large the joint is.
-        let mut sum = 0u64;
-        for &idx in &self.occupied {
-            if assignment.pairs().all(|(attr, v)| self.schema.cell_value(idx, attr) == v) {
-                sum += self.counts[idx];
-            }
-        }
-        sum
+        self.entries
+            .iter()
+            .filter(|&&(cell, _)| {
+                assignment.pairs().all(|(attr, v)| self.schema.cell_value(cell, attr) == v)
+            })
+            .map(|&(_, count)| count)
+            .sum()
     }
 
     /// Empirical probability of a partial assignment, `N^{S}_{c} / N`
@@ -191,29 +243,30 @@ impl ContingencyTable {
         Marginal::from_table(self, vars)
     }
 
-    /// Iterates over `(full values, count)` for every cell, including empty
-    /// ones.
+    /// Iterates over `(full values, count)` for every cell of the joint,
+    /// including empty ones, in dense-index order.
     pub fn cells(&self) -> impl Iterator<Item = (Vec<usize>, u64)> + '_ {
-        self.counts.iter().enumerate().map(|(i, &c)| (self.schema.cell_values(i), c))
+        (0..self.cell_count()).map(|i| (self.schema.cell_values(i), self.count_at(i)))
     }
 
     /// Iterates over `(full values, count)` for the non-empty cells only, in
-    /// dense-index order.  Walks the sparse occupancy set, so the cost is
-    /// proportional to the distinct observed cells, not the joint size.
+    /// dense-index order.  The cost is proportional to the distinct observed
+    /// cells, not the joint size.
     pub fn nonzero_cells(&self) -> impl Iterator<Item = (Vec<usize>, u64)> + '_ {
-        let mut occupied = self.occupied.clone();
-        occupied.sort_unstable();
-        occupied.into_iter().map(|i| (self.schema.cell_values(i), self.counts[i]))
+        let mut entries = self.entries.clone();
+        entries.sort_unstable();
+        entries.into_iter().map(|(cell, count)| (self.schema.cell_values(cell), count))
     }
 
     /// The empirical joint distribution as a dense probability vector in
     /// cell-index order.  Returns an all-zero vector for an empty table.
     pub fn empirical_distribution(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
+        let mut p = vec![0.0; self.cell_count()];
         let n = self.total as f64;
-        self.counts.iter().map(|&c| c as f64 / n).collect()
+        for &(cell, count) in &self.entries {
+            p[cell] = count as f64 / n;
+        }
+        p
     }
 
     /// Adds one observation given as a validated [`Sample`] — the
@@ -233,16 +286,12 @@ impl ContingencyTable {
         // Checking the totals up front keeps merge all-or-nothing: each cell
         // is bounded by its table's total, so if the totals fit in a u64 the
         // per-cell additions cannot overflow either.
-        let total = self.total.checked_add(other.total).ok_or(ContingencyError::CountOverflow)?;
-        // Only `other`'s observed cells can change anything, so a sharded
-        // merge costs O(cells the shard saw), not O(joint size).
-        for &idx in &other.occupied {
-            if self.counts[idx] == 0 {
-                self.occupied.push(idx);
-            }
-            self.counts[idx] += other.counts[idx];
+        self.total = self.total.checked_add(other.total).ok_or(ContingencyError::CountOverflow)?;
+        // Only `other`'s observed cells can change anything, so a merge
+        // costs O(cells the other table saw), not O(joint size).
+        for &(cell, count) in &other.entries {
+            self.add(cell, count);
         }
-        self.total = total;
         Ok(())
     }
 
@@ -255,15 +304,6 @@ impl ContingencyTable {
     pub fn combined(mut self, other: ContingencyTable) -> Result<ContingencyTable> {
         self.merge(&other)?;
         Ok(self)
-    }
-
-    /// Folds any number of part-tables into one total table over `schema`.
-    /// An empty iterator yields the all-zero table.
-    pub fn merged<I>(schema: Arc<Schema>, parts: I) -> Result<ContingencyTable>
-    where
-        I: IntoIterator<Item = ContingencyTable>,
-    {
-        parts.into_iter().try_fold(ContingencyTable::zeros(schema), ContingencyTable::combined)
     }
 }
 
@@ -407,22 +447,19 @@ mod tests {
     }
 
     #[test]
-    fn combined_and_merged_fold_parts() {
+    fn combined_folds_parts() {
         let s = schema();
         let a = ContingencyTable::from_counts(Arc::clone(&s), paper_counts()).unwrap();
-        let b = ContingencyTable::from_counts(Arc::clone(&s), paper_counts()).unwrap();
-        let c = ContingencyTable::zeros(Arc::clone(&s));
-        let folded = ContingencyTable::merged(Arc::clone(&s), vec![a.clone(), b, c]).unwrap();
+        let parts = [a.clone(), a.clone(), ContingencyTable::zeros(Arc::clone(&s))];
+        let folded = parts
+            .into_iter()
+            .try_fold(ContingencyTable::zeros(Arc::clone(&s)), ContingencyTable::combined)
+            .unwrap();
         assert_eq!(folded.total(), 2 * 3428);
-        // combined is merge by value.
-        let pair = a.clone().combined(a).unwrap();
-        assert_eq!(pair, folded);
-        // Empty iterator yields the zero table.
-        let empty = ContingencyTable::merged(Arc::clone(&s), std::iter::empty()).unwrap();
-        assert_eq!(empty.total(), 0);
-        // Schema mismatches are rejected mid-fold.
+        assert_eq!(a.clone().combined(a).unwrap(), folded);
+        // Schema mismatches are rejected.
         let other = ContingencyTable::zeros(Schema::uniform(&[2, 2]).unwrap().into_shared());
-        assert!(ContingencyTable::merged(s, vec![other]).is_err());
+        assert!(ContingencyTable::zeros(s).combined(other).is_err());
     }
 
     #[test]
@@ -464,6 +501,46 @@ mod tests {
         assert_eq!(back, a);
         assert_eq!(back.count_matching(&Assignment::single(0, 0)), 2);
         assert_eq!(back.nonzero_cells().count(), 2);
+    }
+
+    #[test]
+    fn wire_form_lists_observed_cells_in_ascending_order() {
+        let mut t = ContingencyTable::zeros(schema());
+        t.increment(&[2, 0, 1]).unwrap();
+        t.increment_by(&[0, 1, 0], 3).unwrap();
+        let json = serde_json::to_string(&t).unwrap();
+        assert!(json.contains("\"cells\":[[2,3],[9,1]],\"total\":4"), "{json}");
+        assert!(!json.contains("counts"));
+        let back: ContingencyTable = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, t);
+    }
+
+    #[test]
+    fn from_cells_enforces_every_wire_invariant() {
+        let s = schema();
+        let build = |cells: Vec<(usize, u64)>, total| {
+            ContingencyTable::from_cells(Arc::clone(&s), cells, total)
+        };
+        let t = build(vec![(0, 2), (11, 1)], 3).unwrap();
+        assert_eq!(t.count_values(&[0, 0, 0]), 2);
+        assert_eq!(t.count_values(&[2, 1, 1]), 1);
+        assert_eq!(t.count_values(&[1, 0, 0]), 0);
+        assert!(build(Vec::new(), 0).unwrap().nonzero_cells().next().is_none());
+        let malformed = |r: Result<ContingencyTable>, what: &str| match r {
+            Err(ContingencyError::MalformedCells { reason }) => {
+                assert!(reason.contains(what), "{reason} (expected `{what}`)")
+            }
+            other => panic!("expected a malformed-cells error, got {other:?}"),
+        };
+        malformed(build(vec![(12, 1)], 1), "outside");
+        malformed(build(vec![(3, 1), (2, 1)], 2), "out of order or repeated");
+        malformed(build(vec![(3, 1), (3, 1)], 2), "out of order or repeated");
+        malformed(build(vec![(3, 0)], 0), "zero count");
+        malformed(build(vec![(3, 2)], 5), "claims 5 tuples");
+        assert_eq!(
+            build(vec![(0, u64::MAX), (1, 1)], 0).unwrap_err(),
+            ContingencyError::CountOverflow
+        );
     }
 
     proptest! {

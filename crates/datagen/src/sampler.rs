@@ -67,9 +67,9 @@ mod tests {
         let joint = skewed_joint();
         let a = sample_table(&joint, 500, &mut seeded_rng(7));
         let b = sample_table(&joint, 500, &mut seeded_rng(7));
-        assert_eq!(a.counts(), b.counts());
+        assert_eq!(a, b);
         let c = sample_table(&joint, 500, &mut seeded_rng(8));
-        assert_ne!(a.counts(), c.counts());
+        assert_ne!(a, c);
     }
 
     #[test]

@@ -110,7 +110,7 @@ mod tests {
         let d = dataset();
         assert_eq!(d.len() as u64, TOTAL);
         let back = d.to_table();
-        assert_eq!(back.counts(), table().counts());
+        assert_eq!(back, table());
     }
 
     #[test]

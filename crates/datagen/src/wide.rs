@@ -179,9 +179,9 @@ mod tests {
         assert_eq!(a.model().factors(), b.model().factors());
         let da = a.sample_dataset(200, &mut seeded_rng(2));
         let db = b.sample_dataset(200, &mut seeded_rng(2));
-        assert_eq!(da.to_table().counts(), db.to_table().counts());
+        assert_eq!(da.to_table(), db.to_table());
         let dc = a.sample_dataset(200, &mut seeded_rng(3));
-        assert_ne!(da.to_table().counts(), dc.to_table().counts());
+        assert_ne!(da.to_table(), dc.to_table());
     }
 
     #[test]

@@ -167,7 +167,12 @@ fn spawn_pusher(
         let mut pushed_seq = 0u64;
         loop {
             let stopping = stop.load(Ordering::SeqCst);
-            if let Ok(answer) = loopback.call(|c| c.shard_pull()) {
+            // Pull (a whole cumulative shard) only once the node holds
+            // tuples it has not pushed.  An ingest node absorbs no remote
+            // shards, so its `total_ingested` is the `seq` a pull returns.
+            let grown =
+                loopback.call(|c| c.stats()).map_or(true, |s| s.total_ingested > pushed_seq);
+            if let Some(Ok(answer)) = grown.then(|| loopback.call(|c| c.shard_pull())) {
                 if answer.seq > pushed_seq {
                     let pushed = coordinator
                         .call(|c| c.shard_push(&answer.source, answer.seq, &answer.shard));

@@ -25,81 +25,22 @@
 //! while the original process's graceful teardown writes only to the
 //! original paths we then ignore.
 
-use pka_contingency::{Assignment, ContingencyTable, Schema};
-use pka_core::{Acquisition, AcquisitionConfig, KnowledgeBase};
+mod common;
+
+use common::{wait_for, Workload};
 use pka_fabric::{
     ChaosProxy, Coordinator, CoordinatorConfig, IngestNode, IngestNodeConfig, Replica,
     ReplicaConfig, RetryPolicy,
 };
-use pka_maxent::ConvergenceCriteria;
 use pka_serve::{EngineStats, LineClient, ServeConfig};
-use pka_stream::{CountShard, FsyncPolicy, RefreshPolicy, StreamConfig};
+use pka_stream::{FsyncPolicy, RefreshPolicy, StreamConfig};
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-fn schema() -> Arc<Schema> {
-    Schema::uniform(&[3, 2, 2]).unwrap().into_shared()
-}
-
-/// Deterministic correlated rows (same generator as the fault-free e2e
-/// test, so the model has real structure to lose).
-fn rows(offset: usize, n: usize) -> Vec<Vec<usize>> {
-    (offset..offset + n)
-        .map(|k| {
-            let a = k % 3;
-            let b = if k % 7 == 0 { 1 - (a % 2) } else { a % 2 };
-            let c = (k / 5) % 2;
-            vec![a, b, c]
-        })
-        .collect()
-}
-
-fn tight_acquisition() -> AcquisitionConfig {
-    AcquisitionConfig::new().with_convergence(
-        ConvergenceCriteria::new().with_tolerance(1e-13).with_max_iterations(5000),
-    )
-}
+use std::time::Duration;
 
 fn temp_path(tag: &str) -> PathBuf {
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     std::env::temp_dir().join(format!("pka-chaos-{tag}-{}-{n}", std::process::id()))
-}
-
-fn wait_for(timeout: Duration, what: &str, mut check: impl FnMut() -> bool) {
-    let start = Instant::now();
-    while !check() {
-        assert!(start.elapsed() < timeout, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-/// One-shot acquisition over `all_rows`, the convergence oracle.
-fn one_shot(all_rows: &[Vec<usize>]) -> KnowledgeBase {
-    let mut shard = CountShard::new(schema());
-    shard.record_batch(all_rows).unwrap();
-    let table: ContingencyTable = shard.into_table();
-    assert_eq!(table.total(), all_rows.len() as u64);
-    Acquisition::new(tight_acquisition()).run(&table).unwrap().knowledge_base
-}
-
-/// Asserts a live node's marginals match the oracle to 1e-9.
-fn assert_converged(addr: std::net::SocketAddr, oracle: &KnowledgeBase) {
-    let mut client = LineClient::connect(addr).unwrap();
-    for (attr, card) in [(0usize, 3usize), (1, 2), (2, 2)] {
-        for v in 0..card {
-            let value = format!("v{v}");
-            let name = format!("attr{attr}");
-            let answer = client.query(&[(name.as_str(), value.as_str())], &[]).unwrap();
-            let expected = oracle.probability(&Assignment::single(attr, v));
-            assert!(
-                (answer.probability - expected).abs() < 1e-9,
-                "P({name}={value}): fabric {} vs one-shot {expected}",
-                answer.probability,
-            );
-        }
-    }
 }
 
 fn stats_of(addr: std::net::SocketAddr) -> EngineStats {
@@ -108,6 +49,8 @@ fn stats_of(addr: std::net::SocketAddr) -> EngineStats {
 
 #[test]
 fn ingest_node_crash_recovers_acknowledged_tuples_from_its_journal() {
+    let workload = Workload::narrow();
+    let schema = || workload.schema();
     let timeout = Duration::from_secs(60);
     let retry = RetryPolicy::fast();
     let journal = temp_path("ingest-journal");
@@ -120,7 +63,7 @@ fn ingest_node_crash_recovers_acknowledged_tuples_from_its_journal() {
                 ServeConfig::new().with_stream(
                     StreamConfig::new()
                         .with_policy(RefreshPolicy::Manual)
-                        .with_acquisition(tight_acquisition()),
+                        .with_acquisition(workload.acquisition()),
                 ),
             )
             .with_retry(retry.clone()),
@@ -144,7 +87,7 @@ fn ingest_node_crash_recovers_acknowledged_tuples_from_its_journal() {
     let node = IngestNode::start(schema(), node_config(&journal)).unwrap();
 
     // Batch 1 flows normally: ingested, journalled, pushed.
-    let batch1 = rows(0, 120);
+    let batch1 = workload.rows(0, 120);
     LineClient::connect(node.addr()).unwrap().ingest(&batch1).unwrap();
     let mut coordinator_client = LineClient::connect(coordinator.addr()).unwrap();
     wait_for(timeout, "batch 1 to reach the coordinator", || {
@@ -155,7 +98,7 @@ fn ingest_node_crash_recovers_acknowledged_tuples_from_its_journal() {
     // per-record fsync has it on disk) but the coordinator never sees it.
     proxy.plan().partition(true);
     proxy.sever_all();
-    let batch2 = rows(batch1.len(), 90);
+    let batch2 = workload.rows(batch1.len(), 90);
     LineClient::connect(node.addr()).unwrap().ingest(&batch2).unwrap();
     assert_eq!(
         stats_of(node.addr()).journal_records as usize,
@@ -199,7 +142,7 @@ fn ingest_node_crash_recovers_acknowledged_tuples_from_its_journal() {
     coordinator_client.refresh().unwrap();
     let mut all_rows = batch1;
     all_rows.extend(batch2);
-    assert_converged(coordinator.addr(), &one_shot(&all_rows));
+    workload.assert_converged(coordinator.addr(), &workload.one_shot(&all_rows));
 
     revived.shutdown().unwrap();
     coordinator.shutdown().unwrap();
@@ -210,6 +153,18 @@ fn ingest_node_crash_recovers_acknowledged_tuples_from_its_journal() {
 
 #[test]
 fn coordinator_kill_restores_the_placement_map_from_a_checkpoint() {
+    coordinator_kill_restores_from_a_checkpoint(&Workload::narrow());
+}
+
+/// The coordinator kill on 20 binary attributes: the checkpointed
+/// placement map holds cumulative shards over 2^20 cells.
+#[test]
+fn wide_coordinator_kill_restores_the_placement_map_from_a_checkpoint() {
+    coordinator_kill_restores_from_a_checkpoint(&Workload::wide());
+}
+
+fn coordinator_kill_restores_from_a_checkpoint(workload: &Workload) {
+    let schema = || workload.schema();
     let timeout = Duration::from_secs(60);
     let retry = RetryPolicy::fast();
     let checkpoint = temp_path("coord-checkpoint");
@@ -225,7 +180,7 @@ fn coordinator_kill_restores_the_placement_map_from_a_checkpoint() {
                     .with_stream(
                         StreamConfig::new()
                             .with_policy(RefreshPolicy::Manual)
-                            .with_acquisition(tight_acquisition()),
+                            .with_acquisition(workload.acquisition()),
                     )
                     .with_checkpoint(checkpoint)
                     .with_checkpoint_interval(Duration::from_millis(25)),
@@ -261,7 +216,7 @@ fn coordinator_kill_restores_the_placement_map_from_a_checkpoint() {
     let batch = 80usize;
     let mut all_rows: Vec<Vec<usize>> = Vec::new();
     for (i, node) in nodes.iter().enumerate() {
-        let share = rows(i * batch, batch);
+        let share = workload.rows(i * batch, batch);
         LineClient::connect(node.addr()).unwrap().ingest(&share).unwrap();
         all_rows.extend(share);
     }
@@ -307,7 +262,7 @@ fn coordinator_kill_restores_the_placement_map_from_a_checkpoint() {
 
     // Round 2 flows into the replacement through the retargeted proxy.
     for (i, node) in nodes.iter().enumerate() {
-        let share = rows(all_rows.len() + i * batch, batch);
+        let share = workload.rows(all_rows.len() + i * batch, batch);
         LineClient::connect(node.addr()).unwrap().ingest(&share).unwrap();
         all_rows.extend(share);
     }
@@ -325,13 +280,13 @@ fn coordinator_kill_restores_the_placement_map_from_a_checkpoint() {
     );
 
     // Replicas step onto the replacement's snapshot — forward, never back.
-    let oracle = one_shot(&all_rows);
+    let oracle = workload.one_shot(&all_rows);
     for replica in &replicas {
         let mut client = LineClient::connect(replica.addr()).unwrap();
         wait_for(timeout, "replica to reach the replacement's version", || {
             client.snapshot_version().unwrap().unwrap_or(0) >= refit.version
         });
-        assert_converged(replica.addr(), &oracle);
+        workload.assert_converged(replica.addr(), &oracle);
     }
 
     for node in nodes {
@@ -349,6 +304,8 @@ fn coordinator_kill_restores_the_placement_map_from_a_checkpoint() {
 
 #[test]
 fn flapping_partitions_duplication_and_corruption_still_converge_exactly() {
+    let workload = Workload::narrow();
+    let schema = || workload.schema();
     let timeout = Duration::from_secs(60);
     // More attempts than usual: the flapping link eats several.
     let retry = RetryPolicy {
@@ -366,7 +323,7 @@ fn flapping_partitions_duplication_and_corruption_still_converge_exactly() {
                 ServeConfig::new().with_stream(
                     StreamConfig::new()
                         .with_policy(RefreshPolicy::Manual)
-                        .with_acquisition(tight_acquisition()),
+                        .with_acquisition(workload.acquisition()),
                 ),
             )
             .with_retry(retry.clone()),
@@ -398,7 +355,7 @@ fn flapping_partitions_duplication_and_corruption_still_converge_exactly() {
             // it and the retry (of the uncorrupted original) must land.
             _ => proxy.plan().corrupt_next(1),
         }
-        let share = rows(all_rows.len(), 50);
+        let share = workload.rows(all_rows.len(), 50);
         node_client.ingest(&share).unwrap();
         all_rows.extend(share);
         if round % 3 == 0 {
@@ -418,7 +375,7 @@ fn flapping_partitions_duplication_and_corruption_still_converge_exactly() {
         "duplication or replay double-counted tuples"
     );
     coordinator_client.refresh().unwrap();
-    assert_converged(coordinator.addr(), &one_shot(&all_rows));
+    workload.assert_converged(coordinator.addr(), &workload.one_shot(&all_rows));
 
     node.shutdown().unwrap();
     coordinator.shutdown().unwrap();

@@ -1,59 +1,39 @@
 //! End-to-end fabric test: 2 ingest nodes × 3 batches, one coordinator,
-//! two read replicas.
+//! two read replicas, on the memo-sized schema and on 20 binary attributes.
 //!
-//! Asserts the ISSUE's acceptance criteria: the replicas' answers match a
-//! one-shot acquisition over the union of all rows to 1e-9, every reader
-//! observes a strictly monotone version sequence, and reads never block
-//! (a hammering reader thread makes continuous progress throughout).
+//! Asserts that the replicas' answers match a one-shot acquisition over
+//! the union of all rows to 1e-9, every reader observes a strictly monotone
+//! version sequence, and reads never block (a hammering reader thread makes
+//! continuous progress throughout).
 
-use pka_contingency::{Assignment, ContingencyTable, Schema};
-use pka_core::{Acquisition, AcquisitionConfig, KnowledgeBase};
+mod common;
+
+use common::{wait_for, Workload};
+use pka_contingency::Assignment;
 use pka_fabric::{
     Coordinator, CoordinatorConfig, IngestNode, IngestNodeConfig, Replica, ReplicaConfig,
     RetryPolicy,
 };
-use pka_maxent::ConvergenceCriteria;
 use pka_serve::{LineClient, ServeConfig};
-use pka_stream::{CountShard, RefreshPolicy, StreamConfig};
+use pka_stream::{RefreshPolicy, StreamConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-fn schema() -> Arc<Schema> {
-    Schema::uniform(&[3, 2, 2]).unwrap().into_shared()
-}
-
-/// Deterministic correlated rows: attr1 follows attr0's parity, attr2
-/// cycles slowly — enough structure for acquisition to find constraints.
-fn rows(offset: usize, n: usize) -> Vec<Vec<usize>> {
-    (offset..offset + n)
-        .map(|k| {
-            let a = k % 3;
-            let b = if k % 7 == 0 { 1 - (a % 2) } else { a % 2 };
-            let c = (k / 5) % 2;
-            vec![a, b, c]
-        })
-        .collect()
-}
-
-/// A solver setting tight enough that warm-started coordinator refits and
-/// the cold one-shot fit agree far below the 1e-9 assertion threshold.
-fn tight_acquisition() -> AcquisitionConfig {
-    AcquisitionConfig::new().with_convergence(
-        ConvergenceCriteria::new().with_tolerance(1e-13).with_max_iterations(5000),
-    )
-}
-
-fn wait_for(timeout: Duration, what: &str, mut check: impl FnMut() -> bool) {
-    let start = Instant::now();
-    while !check() {
-        assert!(start.elapsed() < timeout, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
+use std::time::Duration;
 
 #[test]
 fn fabric_converges_to_the_one_shot_acquisition() {
+    converges_to_the_one_shot_acquisition(&Workload::narrow());
+}
+
+/// The same fabric on 20 binary attributes: a cumulative shard over 2^20
+/// cells must cross the wire as one line of observed cells.
+#[test]
+fn wide_fabric_converges_to_the_one_shot_acquisition() {
+    converges_to_the_one_shot_acquisition(&Workload::wide());
+}
+
+fn converges_to_the_one_shot_acquisition(workload: &Workload) {
+    let schema = || workload.schema();
     let timeout = Duration::from_secs(60);
     let retry = RetryPolicy::fast();
 
@@ -69,7 +49,7 @@ fn fabric_converges_to_the_one_shot_acquisition() {
             ServeConfig::new().with_stream(
                 StreamConfig::new()
                     .with_policy(RefreshPolicy::Manual)
-                    .with_acquisition(tight_acquisition()),
+                    .with_acquisition(workload.acquisition()),
             ),
         )
         .with_sync_interval(Duration::from_millis(10))
@@ -128,7 +108,7 @@ fn fabric_converges_to_the_one_shot_acquisition() {
     let mut replica_versions: Vec<Vec<u64>> = vec![Vec::new(); replicas.len()];
     for round in 0..3 {
         for (i, node) in nodes.iter().enumerate() {
-            let share = rows((round * nodes.len() + i) * batch, batch);
+            let share = workload.rows((round * nodes.len() + i) * batch, batch);
             let mut client = LineClient::connect(node.addr()).unwrap();
             client.ingest(&share).unwrap();
             all_rows.extend(share);
@@ -155,32 +135,13 @@ fn fabric_converges_to_the_one_shot_acquisition() {
         assert!(versions.windows(2).all(|w| w[0] < w[1]), "versions not monotone: {versions:?}");
     }
 
-    // One-shot acquisition over the union of every row ever ingested.
-    let mut shard = CountShard::new(schema());
-    shard.record_batch(&all_rows).unwrap();
-    let table: ContingencyTable = shard.into_table();
-    assert_eq!(table.total(), all_rows.len() as u64);
-    let one_shot: KnowledgeBase =
-        Acquisition::new(tight_acquisition()).run(&table).unwrap().knowledge_base;
-
-    // Replica answers must match the one-shot fit to 1e-9 — marginals over
-    // every attribute value plus a conditional.
-    let names = [("attr0", 3usize), ("attr1", 2), ("attr2", 2)];
+    // Replica answers must match a one-shot acquisition over the union of
+    // every row ever ingested to 1e-9 — marginals over every attribute
+    // value plus a conditional.
+    let one_shot = workload.one_shot(&all_rows);
     for replica in &replicas {
+        workload.assert_converged(replica.addr(), &one_shot);
         let mut client = LineClient::connect(replica.addr()).unwrap();
-        for (attr, card) in names.iter().enumerate() {
-            for v in 0..card.1 {
-                let value = format!("v{v}");
-                let answer = client.query(&[(card.0, value.as_str())], &[]).unwrap();
-                let expected = one_shot.probability(&Assignment::single(attr, v));
-                assert!(
-                    (answer.probability - expected).abs() < 1e-9,
-                    "P({}={value}): replica {} vs one-shot {expected}",
-                    card.0,
-                    answer.probability,
-                );
-            }
-        }
         let conditional = client.query(&[("attr1", "v0")], &[("attr0", "v0")]).unwrap();
         let joint = one_shot.probability(&Assignment::from_pairs([(0, 0), (1, 0)]));
         let evidence = one_shot.probability(&Assignment::single(0, 0));

@@ -530,11 +530,16 @@ impl LineClient {
     }
 
     /// Splits a response envelope into result / remote error, checking the
-    /// correlation id when one is expected.
+    /// correlation id when one is expected.  A refusal with `id: null` is
+    /// the server's answer to a line it could not read (overlong or
+    /// unparseable), so its error is reported as the remote error it is.
     fn unwrap_response(response: Value, expect_id: Option<u64>) -> Result<Value, ServeError> {
         if let Some(expected) = expect_id {
+            let unread = matches!(response.get("id"), Some(Value::Null))
+                && matches!(response.get("ok"), Some(Value::Bool(false)));
             match response.get("id").and_then(Value::as_u64) {
                 Some(id) if id == expected => {}
+                _ if unread => {}
                 other => {
                     return Err(ServeError::BadResponse {
                         reason: format!("expected response id {expected}, got {other:?}"),

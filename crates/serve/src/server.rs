@@ -336,7 +336,7 @@ impl RefitSummary {
 /// What one `ingest` request did, in wire form.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IngestSummary {
-    /// Tuples accepted into the shards.
+    /// Tuples accepted into the engine's counts.
     pub accepted: u64,
     /// Tuples pending (not yet covered by a published fit) afterwards.
     pub pending: u64,
@@ -402,10 +402,6 @@ pub struct EngineStats {
     /// Solver sweeps spent across every refit so far — together with the
     /// cache counters below, the observable cost of the solver hot path.
     pub solver_sweeps: u64,
-    /// Number of count shards.
-    pub shard_count: usize,
-    /// Per-shard tuple counts.
-    pub shard_tuples: Vec<u64>,
     /// Solver incidence-cache full hits (see `pka_maxent::IncidenceCache`).
     pub cache_full_hits: u64,
     /// Solver incidence-cache prefix extensions.
@@ -1145,8 +1141,6 @@ fn handle_command(
                 pending: engine.pending(),
                 refits: engine.refit_count(),
                 solver_sweeps: engine.total_solver_iterations(),
-                shard_count: engine.shard_count(),
-                shard_tuples: engine.shard_tuple_counts(),
                 cache_full_hits: cache.full_hits,
                 cache_extensions: cache.extensions,
                 cache_rebuilds: cache.rebuilds,

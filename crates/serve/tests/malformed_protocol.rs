@@ -14,7 +14,7 @@ fn start_server() -> pka_serve::ServerHandle {
     let schema = Schema::uniform(&[3, 2]).unwrap().into_shared();
     let config = ServeConfig::new()
         .with_max_line_bytes(LINE_CAP)
-        .with_stream(StreamConfig::new().with_shard_count(2).with_policy(RefreshPolicy::Manual));
+        .with_stream(StreamConfig::new().with_policy(RefreshPolicy::Manual));
     Server::start(schema, config).unwrap()
 }
 
@@ -133,6 +133,25 @@ fn malformed_lines_get_structured_errors_and_the_connection_survives() {
         other => panic!("unknown attribute should be invalid-params, got {other:?}"),
     }
 
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn a_refused_unread_line_surfaces_as_the_remote_error() {
+    let server = start_server();
+    let mut client = LineClient::connect(server.addr()).unwrap();
+    // A typed call whose line exceeds the cap: the server cannot read its
+    // id, so the refusal carries `id: null` — and is still this call's
+    // answer.
+    let rows = vec![vec![0, 1]; LINE_CAP];
+    match client.ingest(&rows) {
+        Err(ServeError::Remote { code, message, .. }) => {
+            assert_eq!(code, "overlong-line");
+            assert!(!message.is_empty());
+        }
+        other => panic!("expected the overlong-line refusal, got {other:?}"),
+    }
+    assert!(client.ping().unwrap(), "the connection stays usable");
     server.shutdown().unwrap();
 }
 

@@ -49,7 +49,7 @@ pub struct FabricCheckpoint {
     /// The last snapshot version published before this checkpoint (0 if
     /// none was ever published).
     pub version: u64,
-    /// Tuples the engine had ingested locally (its own shards, not remote
+    /// Tuples the engine had ingested locally (its own counts, not remote
     /// sources) when the checkpoint was taken.
     pub local: Option<CountShard>,
     /// The shard-placement map: one cumulative shard per known source.

@@ -18,8 +18,6 @@ use std::time::{Duration, Instant};
 /// Configuration of a [`StreamingEngine`].
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
-    /// Number of count shards (parallel ingestion workers).
-    pub shard_count: usize,
     /// When accumulated data trips an automatic refresh.
     pub policy: RefreshPolicy,
     /// Configuration of the underlying acquisition procedure.
@@ -31,16 +29,9 @@ pub struct StreamConfig {
 }
 
 impl StreamConfig {
-    /// Defaults: one shard per available core (capped at 8), 10 %-growth
-    /// refresh, the memo's acquisition defaults.
+    /// Defaults: 10 %-growth refresh, the memo's acquisition defaults.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the shard count.
-    pub fn with_shard_count(mut self, shard_count: usize) -> Self {
-        self.shard_count = shard_count;
-        self
     }
 
     /// Sets the refresh policy.
@@ -80,22 +71,11 @@ impl StreamConfig {
         self.acquisition = self.acquisition.with_max_order(order);
         self
     }
-
-    fn validate(&self) -> Result<()> {
-        if self.shard_count == 0 {
-            return Err(StreamError::InvalidConfig {
-                reason: "shard_count must be at least 1".to_string(),
-            });
-        }
-        self.policy.validate()
-    }
 }
 
 impl Default for StreamConfig {
     fn default() -> Self {
-        let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
         Self {
-            shard_count: cores.clamp(1, 8),
             policy: RefreshPolicy::default(),
             acquisition: AcquisitionConfig::default(),
             lattice_order: pka_maxent::DEFAULT_LATTICE_ORDER,
@@ -124,7 +104,7 @@ pub struct RefitReport {
 /// What one ingest call did.
 #[derive(Debug)]
 pub struct IngestReport {
-    /// Tuples accepted into the shards.
+    /// Tuples accepted into the engine's counts.
     pub accepted: u64,
     /// What the refresh policy did after the tuples were absorbed.
     pub refit: RefitOutcome,
@@ -227,23 +207,21 @@ impl RefitOutcome {
 
 /// A long-lived streaming-acquisition engine.
 ///
-/// The engine owns `shard_count` mergeable [`CountShard`]s fed by
-/// [`StreamingEngine::ingest_batch`] (batches are tabulated on parallel OS
-/// threads), tracks staleness with a dirty counter consulted against its
-/// [`RefreshPolicy`], and on refresh re-runs acquisition **warm-started**
-/// from the previous snapshot's constraint set and a-values.  Each refit is
-/// published as an immutable versioned [`Snapshot`]; readers hold
-/// [`SnapshotHandle`] clones and keep querying the last consistent snapshot
-/// while a refit runs.
+/// The engine owns one [`CountShard`] of local counts fed by
+/// [`StreamingEngine::ingest_batch`] (large batches are tabulated on
+/// parallel OS threads and merged in), tracks staleness with a dirty
+/// counter consulted against its [`RefreshPolicy`], and on refresh re-runs
+/// acquisition **warm-started** from the previous snapshot's constraint set
+/// and a-values.  Each refit is published as an immutable versioned
+/// [`Snapshot`]; readers hold [`SnapshotHandle`] clones and keep querying
+/// the last consistent snapshot while a refit runs.
 ///
 /// ```
 /// use pka_contingency::{Assignment, Schema};
 /// use pka_stream::{RefreshPolicy, StreamConfig, StreamingEngine};
 ///
 /// let schema = Schema::uniform(&[2, 2]).unwrap().into_shared();
-/// let config = StreamConfig::new()
-///     .with_shard_count(2)
-///     .with_policy(RefreshPolicy::EveryNTuples(4));
+/// let config = StreamConfig::new().with_policy(RefreshPolicy::EveryNTuples(4));
 /// let mut engine = StreamingEngine::new(schema, config).unwrap();
 ///
 /// // Two correlated attributes, arriving as a stream.
@@ -267,13 +245,15 @@ pub struct StreamingEngine {
     schema: Arc<Schema>,
     acquisition: Acquisition,
     policy: RefreshPolicy,
-    shards: Vec<CountShard>,
+    /// Counts of every locally ingested tuple.
+    local: CountShard,
+    /// Threads a large batch is tabulated on: the available cores, capped
+    /// at 8 (read once — the lookup costs tens of microseconds).
+    workers: usize,
     /// Tuples ingested since the last published fit.
     pending: u64,
     /// Tuples covered by the last published fit.
     fitted: u64,
-    /// Round-robin cursor for single-tuple ingestion.
-    next_shard: usize,
     next_version: u64,
     handle: SnapshotHandle,
     refits: u64,
@@ -302,17 +282,15 @@ pub struct StreamingEngine {
 impl StreamingEngine {
     /// Creates an engine over a schema.
     pub fn new(schema: Arc<Schema>, config: StreamConfig) -> Result<Self> {
-        config.validate()?;
-        let shards =
-            (0..config.shard_count).map(|_| CountShard::new(Arc::clone(&schema))).collect();
+        config.policy.validate()?;
         Ok(Self {
+            local: CountShard::new(Arc::clone(&schema)),
+            workers: std::thread::available_parallelism().map_or(4, |n| n.get()).clamp(1, 8),
             schema,
             acquisition: Acquisition::new(config.acquisition),
             policy: config.policy,
-            shards,
             pending: 0,
             fitted: 0,
-            next_shard: 0,
             next_version: 1,
             handle: SnapshotHandle::new(),
             refits: 0,
@@ -335,11 +313,6 @@ impl StreamingEngine {
         &self.schema
     }
 
-    /// Number of count shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total tuples counted by the engine: locally-ingested tuples plus
     /// everything currently held from remote sources.
     pub fn total_ingested(&self) -> u64 {
@@ -348,7 +321,7 @@ impl StreamingEngine {
 
     /// Tuples ingested locally (excluding remote shard deliveries).
     pub fn local_tuples(&self) -> u64 {
-        self.shards.iter().map(CountShard::tuple_count).sum()
+        self.local.tuple_count()
     }
 
     /// Number of remote sources currently holding a slot in the placement
@@ -382,11 +355,6 @@ impl StreamingEngine {
         self.refits
     }
 
-    /// Per-shard tuple counts, in shard order.
-    pub fn shard_tuple_counts(&self) -> Vec<u64> {
-        self.shards.iter().map(CountShard::tuple_count).collect()
-    }
-
     /// Reuse counters of the solver's incidence cache — how often refits
     /// skipped the `O(constraints × cells)` structural pass.
     pub fn solver_cache_stats(&self) -> CacheStats {
@@ -408,12 +376,9 @@ impl StreamingEngine {
         self.handle.load()
     }
 
-    /// Ingests one tuple (round-robin across shards), refreshing if the
-    /// policy trips.
+    /// Ingests one tuple, refreshing if the policy trips.
     pub fn ingest(&mut self, row: &[usize]) -> Result<IngestReport> {
-        let shard = self.next_shard;
-        self.next_shard = (self.next_shard + 1) % self.shards.len();
-        self.shards[shard].record(row)?;
+        self.local.record(row)?;
         self.pending += 1;
         let refit = self.maybe_refresh();
         Ok(IngestReport { accepted: 1, refit })
@@ -421,21 +386,20 @@ impl StreamingEngine {
 
     /// Ingests a batch of raw tuples.
     ///
-    /// The batch is tabulated into per-worker scratch shards (in parallel
-    /// for large batches), each tuple validated exactly once by its
-    /// worker's checked increment.  Only if the whole batch counts cleanly
-    /// are the scratch shards merged into the engine's persistent shards —
-    /// so an `Err` always means nothing was recorded (all-or-nothing) —
+    /// The batch is tabulated into scratch shards (one per worker thread,
+    /// up to the available cores capped at 8, once the batch is large
+    /// enough to pay for the threads), each tuple validated exactly once by
+    /// its worker's checked increment.  Only if the whole batch counts
+    /// cleanly are the scratch shards merged into the engine's local counts
+    /// — so an `Err` always means nothing was recorded (all-or-nothing) —
     /// and, if the dirty counter trips the policy, a warm-started refit
     /// follows.
     pub fn ingest_batch<R: AsRef<[usize]> + Sync>(&mut self, rows: &[R]) -> Result<IngestReport> {
         if rows.is_empty() {
             return Ok(IngestReport { accepted: 0, refit: RefitOutcome::NotTriggered });
         }
-        let batch_shards = tabulate_sharded(&self.schema, rows, self.shards.len())?;
-        let shard_count = self.shards.len();
-        for (i, batch_shard) in batch_shards.into_iter().enumerate() {
-            self.shards[i % shard_count].absorb(&batch_shard)?;
+        for batch_shard in tabulate_sharded(&self.schema, rows, self.workers)? {
+            self.local.absorb(&batch_shard)?;
         }
         self.pending += rows.len() as u64;
         let refit = self.maybe_refresh();
@@ -458,28 +422,23 @@ impl StreamingEngine {
     }
 
     /// The combined contingency table over everything counted so far:
-    /// local shards plus every held remote shard.  Count addition is
+    /// local counts plus every held remote shard.  Count addition is
     /// associative and commutative, so the fold order is irrelevant and
     /// the result equals a single sequential pass over all nodes' tuples.
     pub fn current_table(&self) -> Result<ContingencyTable> {
-        ContingencyTable::merged(
-            Arc::clone(&self.schema),
-            self.shards.iter().map(|s| s.table().clone()).chain(self.remote.tables()),
-        )
-        .map_err(StreamError::from)
+        let mut table = self.local.table().clone();
+        for (_, _, shard) in self.remote.entries() {
+            table.merge(shard.table())?;
+        }
+        Ok(table)
     }
 
-    /// Merges the engine's **local** shards into one exportable
-    /// [`CountShard`] — what an ingest node ships to its coordinator.
+    /// The engine's **local** counts as an exportable [`CountShard`] — what
+    /// an ingest node ships to its coordinator.
     /// Remote deliveries are deliberately excluded so a relaying node can
     /// never echo another source's counts back into the fabric.
     pub fn export_local_shard(&self) -> Result<CountShard> {
-        let table = ContingencyTable::merged(
-            Arc::clone(&self.schema),
-            self.shards.iter().map(|s| s.table().clone()),
-        )
-        .map_err(StreamError::from)?;
-        Ok(CountShard::from_table(table))
+        Ok(self.local.clone())
     }
 
     /// Absorbs one remote shard delivery (the coordinator half of the
@@ -716,7 +675,7 @@ impl StreamingEngine {
             if !shard.is_empty() {
                 stats.recovered_sources += 1;
                 stats.recovered_tuples += shard.tuple_count();
-                self.shards[0].absorb(&shard)?;
+                self.local.absorb(&shard)?;
             }
         }
         for source in checkpoint_sources {
@@ -829,7 +788,6 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        assert!(StreamingEngine::new(schema(), StreamConfig::new().with_shard_count(0)).is_err());
         assert!(StreamingEngine::new(
             schema(),
             StreamConfig::new().with_policy(RefreshPolicy::EveryNTuples(0)),
@@ -845,7 +803,7 @@ mod tests {
 
     #[test]
     fn first_refresh_is_cold_then_warm() {
-        let config = StreamConfig::new().with_shard_count(2).with_policy(RefreshPolicy::Manual);
+        let config = StreamConfig::new().with_policy(RefreshPolicy::Manual);
         let mut engine = StreamingEngine::new(schema(), config).unwrap();
         engine.ingest_batch(&correlated_rows(100)).unwrap();
         let first = engine.refresh().unwrap();
@@ -867,8 +825,7 @@ mod tests {
 
     #[test]
     fn policy_triggers_refits_during_ingest() {
-        let config =
-            StreamConfig::new().with_shard_count(2).with_policy(RefreshPolicy::EveryNTuples(50));
+        let config = StreamConfig::new().with_policy(RefreshPolicy::EveryNTuples(50));
         let mut engine = StreamingEngine::new(schema(), config).unwrap();
         let mut refits = 0;
         for batch in correlated_rows(200).chunks(25) {
@@ -881,17 +838,14 @@ mod tests {
     }
 
     #[test]
-    fn single_tuple_ingest_round_robins_and_refits() {
-        let config =
-            StreamConfig::new().with_shard_count(3).with_policy(RefreshPolicy::EveryNTuples(10));
+    fn single_tuple_ingest_refits() {
+        let config = StreamConfig::new().with_policy(RefreshPolicy::EveryNTuples(10));
         let mut engine = StreamingEngine::new(schema(), config).unwrap();
         for row in correlated_rows(30) {
             engine.ingest(&row).unwrap();
         }
         assert_eq!(engine.total_ingested(), 30);
         assert_eq!(engine.refit_count(), 3);
-        // Round-robin spreads tuples across all shards.
-        assert!(engine.shard_count() == 3);
         let table = engine.current_table().unwrap();
         assert_eq!(table.total(), 30);
     }
@@ -916,7 +870,7 @@ mod tests {
             after_second.full_hits > after_first.full_hits,
             "repeated refit did not reuse the cache: {after_second:?}"
         );
-        assert_eq!(engine.shard_tuple_counts().iter().sum::<u64>(), 400);
+        assert_eq!(engine.local_tuples(), 400);
     }
 
     #[test]
@@ -980,7 +934,6 @@ mod tests {
             ConvergenceCriteria::new().with_max_iterations(1).with_tolerance(1e-16).strict(),
         );
         let config = StreamConfig::new()
-            .with_shard_count(2)
             .with_policy(RefreshPolicy::EveryNTuples(400))
             .with_acquisition(impossible);
         let mut engine = StreamingEngine::new(schema(), config).unwrap();
@@ -988,7 +941,7 @@ mod tests {
         // Perfect correlation promotes a boundary constraint whose fit
         // cannot reach 1e-16 in one sweep, so the policy-triggered refit
         // fails.  The ingest itself still succeeds — the tuples are in the
-        // shards — and the failure is reported in the outcome, not as an
+        // local counts — and the failure is reported in the outcome, not as an
         // error a retry loop would re-send the batch for.
         let report = engine.ingest_batch(&correlated_rows(400)).unwrap();
         assert_eq!(report.accepted, 400);
@@ -1001,7 +954,7 @@ mod tests {
 
     #[test]
     fn remote_shards_merge_exactly_and_gate_on_sequence() {
-        let manual = StreamConfig::new().with_shard_count(2).with_policy(RefreshPolicy::Manual);
+        let manual = StreamConfig::new().with_policy(RefreshPolicy::Manual);
         // A remote ingest node tabulates 40 tuples locally…
         let mut node = StreamingEngine::new(schema(), manual.clone()).unwrap();
         node.ingest_batch(&correlated_rows(40)).unwrap();
@@ -1136,7 +1089,7 @@ mod tests {
 
     #[test]
     fn journal_recovery_restores_local_counts_and_replays_are_noops() {
-        let manual = StreamConfig::new().with_shard_count(2).with_policy(RefreshPolicy::Manual);
+        let manual = StreamConfig::new().with_policy(RefreshPolicy::Manual);
         // A node tabulates 40 tuples, "crashes", and its replacement boots
         // from the journal's last cumulative record.
         let mut node = StreamingEngine::new(schema(), manual.clone()).unwrap();
@@ -1174,7 +1127,7 @@ mod tests {
 
     #[test]
     fn checkpoint_round_trip_restores_the_placement_map() {
-        let manual = StreamConfig::new().with_shard_count(2).with_policy(RefreshPolicy::Manual);
+        let manual = StreamConfig::new().with_policy(RefreshPolicy::Manual);
         let mut node = StreamingEngine::new(schema(), manual.clone()).unwrap();
         node.ingest_batch(&correlated_rows(30)).unwrap();
 
@@ -1217,7 +1170,7 @@ mod tests {
 
     #[test]
     fn restore_prefers_the_larger_local_record() {
-        let manual = StreamConfig::new().with_shard_count(2).with_policy(RefreshPolicy::Manual);
+        let manual = StreamConfig::new().with_policy(RefreshPolicy::Manual);
         // The journal saw 25 tuples; an older checkpoint captured only 10.
         let mut newer = StreamingEngine::new(schema(), manual.clone()).unwrap();
         newer.ingest_batch(&correlated_rows(25)).unwrap();

@@ -37,7 +37,7 @@ pub fn validate_batch<R: AsRef<[usize]>>(schema: &Schema, rows: &[R]) -> Result<
         .collect()
 }
 
-/// Tabulates a batch of raw rows into up to `shard_count` count shards.
+/// Tabulates a batch of raw rows into up to `workers` count shards.
 ///
 /// The batch is split into contiguous chunks; each chunk is counted
 /// independently (in parallel once every worker has
@@ -53,15 +53,14 @@ pub fn validate_batch<R: AsRef<[usize]>>(schema: &Schema, rows: &[R]) -> Result<
 pub fn tabulate_sharded<R: AsRef<[usize]> + Sync>(
     schema: &Arc<Schema>,
     rows: &[R],
-    shard_count: usize,
+    workers: usize,
 ) -> Result<Vec<CountShard>> {
-    let shard_count = shard_count.max(1);
     if rows.is_empty() {
         return Ok(Vec::new());
     }
 
     // Below the parallel threshold a single inline pass wins.
-    if shard_count == 1 || rows.len() < 2 * MIN_ROWS_PER_WORKER {
+    if workers <= 1 || rows.len() < 2 * MIN_ROWS_PER_WORKER {
         let mut shard = CountShard::new(Arc::clone(schema));
         for row in rows {
             shard.record(row.as_ref())?;
@@ -70,7 +69,7 @@ pub fn tabulate_sharded<R: AsRef<[usize]> + Sync>(
     }
 
     // Cap the fan-out so every worker gets a meaningful slice.
-    let workers = shard_count.min(rows.len() / MIN_ROWS_PER_WORKER).max(2);
+    let workers = workers.min(rows.len() / MIN_ROWS_PER_WORKER).max(2);
     let chunk_size = rows.len().div_ceil(workers);
     let shards: Vec<Result<CountShard>> = std::thread::scope(|scope| {
         let handles: Vec<_> = rows
@@ -120,7 +119,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_tabulation_matches_sequential_for_any_shard_count() {
+    fn sharded_tabulation_matches_sequential_for_any_worker_count() {
         let s = schema();
         // Enough rows to cross the parallel threshold so both the inline
         // and the threaded path are exercised.
@@ -132,7 +131,7 @@ mod tests {
         for k in [1, 2, 3, 7, 16, 500] {
             let shards = tabulate_sharded(&s, &data, k).unwrap();
             let merged = merge_shards(&s, shards).unwrap();
-            assert_eq!(merged.into_table(), sequential, "shard_count = {k}");
+            assert_eq!(merged.into_table(), sequential, "workers = {k}");
         }
         // Small batches take the inline path and still match.
         let small = rows(101);

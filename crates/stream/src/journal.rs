@@ -12,7 +12,7 @@
 //! ```text
 //! [ 8-byte magic "PKAJRNL1" ]
 //! [ u32 len (LE) | u32 crc32 (LE) | len bytes of JSON payload ]*
-//! payload = {"format_version": 1, "seq": <u64>, "shard": <CountShard wire form>}
+//! payload = {"format_version": 2, "seq": <u64>, "shard": <CountShard wire form>}
 //! ```
 //!
 //! On open, the file is scanned from the start; the first record whose
@@ -22,6 +22,13 @@
 //! record is therefore *refused*, never merged — the journal recovers the
 //! longest valid prefix and nothing else (property-tested in
 //! `tests/journal_torn_writes.rs` at the workspace root).
+//!
+//! A record whose checksum holds but whose `format_version` is not
+//! [`WIRE_FORMAT_VERSION`] is not a torn tail: it was written by a build
+//! speaking another wire format (e.g. a v1 journal, whose shards carry
+//! dense counts).  Truncating it would silently empty the node, so `open`
+//! refuses with [`StreamError::FormatVersion`] and leaves the file
+//! byte-identical, as a foreign checkpoint refuses boot.
 //!
 //! Durability is tunable per deployment via [`FsyncPolicy`]: fsync every
 //! record (no acknowledged tuple is ever lost), fsync on an interval
@@ -100,17 +107,28 @@ impl FsyncPolicy {
 }
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the same
-/// checksum gzip and PNG use, computed bitwise so no table needs vendoring.
+/// checksum gzip and PNG use, one lookup per byte in a table built at
+/// compile time: an ingest node checksums every record before it acks, and
+/// bit by bit that costs ~1 ms per 100 KB record.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &byte in bytes {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+    const TABLE: [u32; 256] = {
+        let mut table = [0u32; 256];
+        let mut i = 0;
+        while i < 256 {
+            let mut crc = i as u32;
+            let mut bit = 0;
+            while bit < 8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+                bit += 1;
+            }
+            table[i] = crc;
+            i += 1;
         }
-    }
-    !crc
+        table
+    };
+    !bytes
+        .iter()
+        .fold(!0u32, |crc, &byte| TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8))
 }
 
 /// What `open` salvaged from an existing journal file.
@@ -178,18 +196,22 @@ fn encode_record(seq: u64, shard: &CountShard) -> Result<Vec<u8>> {
     Ok(record)
 }
 
-/// Parses one payload; `None` means the record is invalid and the scan must
-/// stop.  The shard goes through [`CountShard::from_value`], which rebuilds
-/// and re-validates the table — a bit-flipped count that still checksums
-/// (possible only pre-checksum, e.g. hand-edited files) cannot smuggle an
-/// inconsistent table into the engine.
-fn decode_payload(bytes: &[u8]) -> Option<(u64, CountShard)> {
-    let text = std::str::from_utf8(bytes).ok()?;
-    let value: Value = serde_json::from_str(text).ok()?;
-    crate::shard::check_format_version(&value).ok()?;
-    let seq = value.get("seq").and_then(Value::as_u64)?;
-    let shard = CountShard::from_value(value.get("shard")?).ok()?;
-    Some((seq, shard))
+/// Parses one checksummed payload; `Ok(None)` means the record is invalid
+/// and the scan must stop.  The shard goes through
+/// [`CountShard::from_value`], which re-validates the table — a bit-flipped
+/// count that still checksums (possible only pre-checksum, e.g. hand-edited
+/// files) cannot smuggle an inconsistent table into the engine.  A foreign
+/// `format_version` is an error, not an invalid record (see the module
+/// docs).
+fn decode_payload(bytes: &[u8]) -> Result<Option<(u64, CountShard)>> {
+    let text = std::str::from_utf8(bytes).ok();
+    let Some(value) = text.and_then(|text| serde_json::from_str::<Value>(text).ok()) else {
+        return Ok(None);
+    };
+    crate::shard::check_format_version(&value)?;
+    let seq = value.get("seq").and_then(Value::as_u64);
+    let shard = value.get("shard").and_then(|shard| CountShard::from_value(shard).ok());
+    Ok(seq.zip(shard))
 }
 
 impl ShardJournal {
@@ -200,7 +222,9 @@ impl ShardJournal {
     /// A file with a missing or wrong magic header is treated as wholly
     /// invalid: its entire content counts as `truncated_bytes` and it is
     /// rewritten as an empty journal.  (Point the journal at a dedicated
-    /// file — recovery will not preserve foreign content.)
+    /// file — recovery will not preserve foreign content.)  A checksummed
+    /// record from another wire format version is refused instead, with
+    /// [`StreamError::FormatVersion`] and the file left untouched.
     pub fn open(path: impl Into<PathBuf>, policy: FsyncPolicy) -> Result<(Self, JournalRecovery)> {
         let path = path.into();
         let mut file = OpenOptions::new()
@@ -234,7 +258,7 @@ impl ShardJournal {
                 if crc32(payload) != crc {
                     break;
                 }
-                let Some((seq, shard)) = decode_payload(payload) else {
+                let Some((seq, shard)) = decode_payload(payload)? else {
                     break;
                 };
                 recovery.seq = Some(seq);
@@ -490,6 +514,28 @@ mod tests {
         let (_journal, recovery) = ShardJournal::open(&path, FsyncPolicy::Off).unwrap();
         assert_eq!(recovery.seq, Some(1));
         assert_eq!(recovery.shard.as_ref(), Some(&first));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn foreign_format_version_refuses_to_open_and_leaves_the_file_alone() {
+        let path = temp_path("v1");
+        // A v1 record: checksummed and well formed, but written by a build
+        // whose shards carried dense counts.
+        let payload = format!(
+            "{{\"format_version\":1,\"seq\":2,\"shard\":{{\"format_version\":1,\"table\":\
+             {{\"schema\":{},\"counts\":[1,0,0,0,0,1],\"total\":2}}}}}}",
+            serde_json::to_string(&*schema()).unwrap()
+        );
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(payload.as_bytes()).to_le_bytes());
+        bytes.extend_from_slice(payload.as_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let err = ShardJournal::open(&path, FsyncPolicy::PerRecord).unwrap_err();
+        assert!(matches!(err, StreamError::FormatVersion { found: Some(1) }), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "the v1 journal must stay byte-identical");
         let _ = std::fs::remove_file(&path);
     }
 

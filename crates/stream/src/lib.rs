@@ -67,7 +67,7 @@ pub use snapshot::{Snapshot, SnapshotHandle, SnapshotMeta};
 /// version — or none — with [`StreamError::FormatVersion`], so a mixed
 /// deployment fails loudly at the wire instead of silently mis-merging
 /// counts across incompatible encodings.
-pub const WIRE_FORMAT_VERSION: u64 = 1;
+pub const WIRE_FORMAT_VERSION: u64 = 2;
 
 /// Convenient result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, StreamError>;

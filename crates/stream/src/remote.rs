@@ -6,14 +6,14 @@
 //! when a strictly newer sequence arrives, so the delivery pathologies of a
 //! real network — replays, reorders, overlapping push and pull paths — all
 //! collapse to no-ops.  Merging the held shards with the coordinator's own
-//! local shards is then the same commutative-monoid fold single-node
+//! local counts is then the same commutative-monoid fold single-node
 //! ingestion uses, which is what keeps the distributed fabric *exact*: the
 //! merged table is bit-for-bit the table a single sequential pass over every
 //! node's tuples would have produced.
 
 use crate::shard::CountShard;
 use crate::{Result, StreamError};
-use pka_contingency::{ContingencyTable, Schema};
+use pka_contingency::Schema;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -158,11 +158,6 @@ impl RemoteShardMap {
     /// material of a [`FabricCheckpoint`](crate::checkpoint::FabricCheckpoint).
     pub fn entries(&self) -> impl Iterator<Item = (&str, u64, &CountShard)> {
         self.entries.iter().map(|(name, e)| (name.as_str(), e.seq, &e.shard))
-    }
-
-    /// The held cumulative tables, for merging into the engine's fold.
-    pub fn tables(&self) -> impl Iterator<Item = ContingencyTable> + '_ {
-        self.entries.values().map(|e| e.shard.table().clone())
     }
 }
 

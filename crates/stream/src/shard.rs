@@ -16,12 +16,15 @@ use std::sync::Arc;
 
 /// One worker's private slice of the stream's contingency counts.
 ///
-/// Shards serialise (schema + dense counts) so they can cross process and
+/// Shards serialise (schema + observed cells) so they can cross process and
 /// node boundaries: because merge is associative and commutative, a
 /// coordinator can deserialise shards produced anywhere and combine them in
 /// any order — the groundwork for multi-node shard placement.  The wire
-/// form is an object `{"format_version": …, "table": …}`; the version
-/// stamp is checked on deserialisation (see [`WIRE_FORMAT_VERSION`]).
+/// form is `{"format_version": 2, "table": {"schema": …, "cells": [[id,
+/// count], …], "total": …}}`, the same in shard pushes, journal records
+/// and checkpoints; its size grows with the distinct observed cells, not
+/// the joint.  The version stamp is checked on deserialisation (see
+/// [`WIRE_FORMAT_VERSION`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountShard {
     table: ContingencyTable,
@@ -49,9 +52,7 @@ impl Serialize for CountShard {
 
 impl Deserialize for CountShard {
     fn deserialize(value: &Value) -> std::result::Result<Self, serde::Error> {
-        check_format_version(value).map_err(|e| serde::Error::custom(e.to_string()))?;
-        let table = serde::de_field(value, "table")?;
-        Ok(Self { table })
+        Self::from_value(value).map_err(|e| serde::Error::custom(e.to_string()))
     }
 }
 
@@ -59,12 +60,6 @@ impl CountShard {
     /// An empty shard over a schema — the monoid identity.
     pub fn new(schema: Arc<Schema>) -> Self {
         Self { table: ContingencyTable::zeros(schema) }
-    }
-
-    /// Wraps an existing table as a shard (e.g. counts recovered from a
-    /// checkpoint).
-    pub fn from_table(table: ContingencyTable) -> Self {
-        Self { table }
     }
 
     /// The schema the shard counts over.
@@ -126,8 +121,8 @@ impl CountShard {
     }
 
     /// Restores a shard from [`CountShard::to_json`] output, re-validating
-    /// the internal consistency a hostile or corrupted payload could break
-    /// (cell-count arity, overflow, and the stored total).
+    /// everything a hostile or corrupted payload could break (see
+    /// [`CountShard::from_value`]).
     pub fn from_json(text: &str) -> Result<Self> {
         let value: Value = serde_json::from_str(text)
             .map_err(|e| StreamError::InvalidConfig { reason: e.to_string() })?;
@@ -135,29 +130,16 @@ impl CountShard {
     }
 
     /// Restores a shard from its wire [`Value`] form — the in-protocol
-    /// counterpart of [`CountShard::from_json`], with the same format
-    /// version check and hostile-payload re-validation.
+    /// counterpart of [`CountShard::from_json`].  The format stamp is
+    /// checked first, so a foreign payload gets the structured
+    /// `FormatVersion` error; the table then goes through
+    /// [`ContingencyTable::from_cells`], which refuses ids out of order or
+    /// outside the schema, zero counts, and totals the cells do not sum to.
     pub fn from_value(value: &Value) -> Result<Self> {
-        // Checked here (not only inside `Deserialize`) so callers get the
-        // structured `FormatVersion` error rather than message text.
         check_format_version(value)?;
-        let shard: CountShard = Deserialize::deserialize(value)
+        let table = serde::de_field(value, "table")
             .map_err(|e| StreamError::InvalidConfig { reason: e.to_string() })?;
-        let table = shard.table;
-        // Rebuild through the checked constructor so counts/schema/total
-        // cannot disagree.
-        let rebuilt = ContingencyTable::from_counts(table.shared_schema(), table.counts().to_vec())
-            .map_err(StreamError::from)?;
-        if rebuilt.total() != table.total() {
-            return Err(StreamError::InvalidConfig {
-                reason: format!(
-                    "shard payload claims {} tuples but its counts sum to {}",
-                    table.total(),
-                    rebuilt.total()
-                ),
-            });
-        }
-        Ok(Self { table: rebuilt })
+        Ok(Self { table })
     }
 
     /// Read access to the underlying counts.

@@ -127,7 +127,6 @@ const FLAGS: &[Flag] = &[
         Feed::Serve(|c, v| Ok(c.with_checkpoint_interval(ms(v)?))),
     ),
     // Engine.  A replica rebuilds each synced snapshot's lattice itself.
-    flag("--shards", FITTING | INGEST_NODE, Feed::Stream(|c, v| Ok(c.with_shard_count(num(v)?)))),
     flag("--policy", FITTING, Feed::Stream(|c, v| Ok(c.with_policy(RefreshPolicy::parse(v)?)))),
     flag("--max-order", FITTING, Feed::Stream(|c, v| Ok(c.with_max_order(num(v)?)))),
     flag(
@@ -748,7 +747,7 @@ mod tests {
                     }
                 }
             }
-            for unknown in ["--survy", "--dense-ceiling", "--help", "survey", "-p"] {
+            for unknown in ["--survy", "--dense-ceiling", "--shards", "--help", "survey", "-p"] {
                 let e = Options::parse(role, &argv(&[unknown])).err().expect("unknown flag");
                 assert!(e.contains(unknown) && e.contains(role_name), "{e}");
             }
@@ -770,9 +769,7 @@ mod tests {
         for (role, flag) in [
             (COORDINATOR, "--max-order"),
             (COORDINATOR, "--lattice-order"),
-            (COORDINATOR, "--shards"),
             (COORDINATOR, "--max-line-bytes"),
-            (INGEST_NODE, "--shards"),
             (REPLICA, "--lattice-order"),
         ] {
             assert!(Options::parse(role, &argv(&[flag, "2"])).is_ok(), "{flag}");
@@ -781,6 +778,7 @@ mod tests {
             (REPLICA, "--policy"),
             (REPLICA, "--max-order"),
             (INGEST_NODE, "--policy"),
+            (INGEST_NODE, "--max-order"),
             (INGEST_NODE, "--replica"),
             (STANDALONE, "--coordinator"),
             (STANDALONE, "--expect-factored"),

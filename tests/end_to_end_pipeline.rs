@@ -34,7 +34,7 @@ fn csv_to_knowledge_base_pipeline() {
     // Round-trip through the CSV writer.
     let rewritten = to_csv(&dataset);
     let reparsed = parse_csv(&rewritten, CsvSchema::Infer).expect("round trip parses");
-    assert_eq!(reparsed.to_table().counts(), dataset.to_table().counts());
+    assert_eq!(reparsed.to_table(), dataset.to_table());
 
     let table = dataset.to_table();
     let kb = Acquisition::with_defaults().run(&table).expect("acquisition succeeds").knowledge_base;

@@ -115,8 +115,10 @@ fn warm_started_refit_matches_cold_run() {
     // refit on the full table warm-started from the half-data knowledge
     // base, and compare against a cold full-table run.
     let full = pka::datagen::smoking::table();
-    let half_counts: Vec<u64> = full.counts().iter().map(|&c| c / 2).collect();
-    let half = ContingencyTable::from_counts(full.shared_schema(), half_counts).unwrap();
+    let mut half = ContingencyTable::zeros(full.shared_schema());
+    for (values, count) in full.nonzero_cells() {
+        half.increment_by(&values, count / 2).unwrap();
+    }
 
     let tight = AcquisitionConfig::new().with_convergence(
         ConvergenceCriteria::new().with_tolerance(1e-13).with_max_iterations(5000),
