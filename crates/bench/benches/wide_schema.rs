@@ -8,9 +8,14 @@
 //! factored-only: its dense side cannot exist, which is what the factored
 //! path is for.  Measured numbers are snapshotted in `BENCH_wide.json` at
 //! the repository root.
+//!
+//! The `refit` group times one warm order-2 acquisition refit at 2^12,
+//! 2^16 and 2^20 binary cells — counting, scoring, solving and
+//! normalisation together, the write side of a wide snapshot.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pka_bench::WideWorkload;
+use pka_bench::{RefitWorkload, WideWorkload};
+use pka_maxent::IncidenceCache;
 use std::hint::black_box;
 
 fn wide_schema(c: &mut Criterion) {
@@ -61,5 +66,23 @@ fn wide_schema(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, wide_schema);
+fn refit(c: &mut Criterion) {
+    let workloads = [12, 16, 20].map(|attributes| RefitWorkload::binary(attributes, 5000));
+    let mut group = c.benchmark_group("refit");
+    group.sample_size(10);
+    for w in &workloads {
+        let mut cache = IncidenceCache::new();
+        group.bench_with_input(BenchmarkId::new("warm", w.label()), w, |b, w| {
+            b.iter(|| black_box(w.warm_refit(&mut cache)))
+        });
+    }
+    group.finish();
+
+    // Correctness gate (runs in CI smoke mode too).
+    for w in &workloads {
+        w.assert_warm_matches_cold();
+    }
+}
+
+criterion_group!(benches, wide_schema, refit);
 criterion_main!(benches);

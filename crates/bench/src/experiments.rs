@@ -1010,6 +1010,72 @@ impl WideWorkload {
     }
 }
 
+/// A warm order-2 refit at one binary schema width — what a streaming
+/// engine pays per refit once its constraint set has settled (the
+/// `refit` group of the `wide_schema` bench).
+///
+/// Rows are drawn from a [`WideExperiment`] with planted pairwise
+/// dependencies; the cold run at construction supplies the knowledge base
+/// every timed refit warm-starts from.  At 2^20 cells the run is past the
+/// dense ceiling, so scoring, solving and normalisation are all factored.
+#[derive(Debug)]
+pub struct RefitWorkload {
+    label: String,
+    acquisition: Acquisition,
+    table: ContingencyTable,
+    cold: KnowledgeBase,
+}
+
+impl RefitWorkload {
+    /// `attributes` binary attributes (2^attributes cells), `rows` sampled
+    /// tuples, acquisition up to order 2.
+    pub fn binary(attributes: usize, rows: u64) -> Self {
+        let experiment = WideExperiment::generate(attributes, 2, 6, 4.0, &mut seeded_rng(41));
+        let table = experiment.sample_table(rows, &mut seeded_rng(42));
+        let acquisition = Acquisition::new(AcquisitionConfig::new().with_max_order(2));
+        let cold = acquisition.run(&table).expect("cold acquisition succeeds").knowledge_base;
+        Self { label: format!("2pow{attributes}"), acquisition, table, cold }
+    }
+
+    /// The workload's display label (`2pow20`, …).
+    pub fn label(&self) -> &str {
+        &self.label
+    }
+
+    /// One warm refit over the same table, sharing the caller's solver
+    /// cache across iterations as a streaming engine does.
+    pub fn warm_refit(&self, cache: &mut IncidenceCache) -> AcquisitionOutcome {
+        self.acquisition
+            .run_warm_started_cached(&self.table, &self.cold, cache)
+            .expect("warm refit succeeds")
+    }
+
+    /// Correctness gate (runs in CI smoke mode too): the warm refit
+    /// reproduces the cold constraint set, cell for cell, ≤ 1e-9.
+    pub fn assert_warm_matches_cold(&self) {
+        let warm = self.warm_refit(&mut IncidenceCache::new()).knowledge_base;
+        let (cold, warm) = (self.cold.constraints(), warm.constraints());
+        assert_eq!(
+            warm.len(),
+            cold.len(),
+            "{}: warm refit changed the constraint count",
+            self.label
+        );
+        for c in cold.constraints() {
+            let p = warm
+                .probability_of(&c.assignment)
+                .unwrap_or_else(|| panic!("{}: warm refit dropped {:?}", self.label, c.assignment));
+            assert!(
+                (p - c.probability).abs() <= 1e-9,
+                "{}: {:?} moved from {} to {p}",
+                self.label,
+                c.assignment,
+                c.probability
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // X5 — constraint-selection ablation (MML vs chi-square vs G-test)
 // ---------------------------------------------------------------------------

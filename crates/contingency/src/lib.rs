@@ -20,7 +20,8 @@
 //!   (Figure 5 / Figure 6 of the memo).
 //! * [`ContingencyTable`] — counts over the full cross-product with
 //!   mixed-radix cell indexing, storing observed cells only, plus
-//!   marginalisation ([`Marginal`], Figure 2 / Eqs. 1–6).
+//!   marginalisation ([`Marginal`], Figure 2 / Eqs. 1–6; [`MarginalCounts`]
+//!   fills many marginals in one walk).
 //! * [`VarSet`] and [`Assignment`] — compact descriptions of attribute
 //!   subsets and value assignments on them; these are the vocabulary used by
 //!   the maximum-entropy and significance crates to talk about constraints
@@ -70,7 +71,7 @@ pub use config::Assignment;
 pub use dataset::Dataset;
 pub use error::ContingencyError;
 pub use lattice::{lattice_plan, LatticeParent, LatticeStep};
-pub use marginal::Marginal;
+pub use marginal::{Marginal, MarginalCounts};
 pub use sample::Sample;
 pub use schema::Schema;
 pub use table::ContingencyTable;

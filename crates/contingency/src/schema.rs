@@ -202,14 +202,20 @@ impl Schema {
 
     /// Inverse of [`Schema::cell_index`]: the full value assignment of a
     /// dense cell index.
-    pub fn cell_values(&self, mut index: usize) -> Vec<usize> {
-        debug_assert!(index < self.cells);
+    pub fn cell_values(&self, index: usize) -> Vec<usize> {
         let mut values = vec![0usize; self.attributes.len()];
+        self.decode_into(index, &mut values);
+        values
+    }
+
+    /// [`Schema::cell_values`] into a caller-owned buffer of one slot per
+    /// attribute, for walks that decode many cells.
+    pub(crate) fn decode_into(&self, mut index: usize, values: &mut [usize]) {
+        debug_assert!(index < self.cells);
         for (value, &stride) in values.iter_mut().zip(&self.strides) {
             *value = index / stride;
             index %= stride;
         }
-        values
     }
 
     /// Iterates over every full value assignment in dense-index order.

@@ -1,7 +1,7 @@
 //! Sparse contingency tables — the memo's `N_{ijk…}` cell counts.
 
 use crate::config::Assignment;
-use crate::marginal::Marginal;
+use crate::marginal::{Marginal, MarginalCounts};
 use crate::sample::Sample;
 use crate::schema::Schema;
 use crate::varset::VarSet;
@@ -20,10 +20,11 @@ use std::sync::Arc;
 /// cells carry information, so only they are stored: a contiguous list of
 /// `(cell, count)` entries (every count ≥ 1) plus a cell → slot hash index
 /// for increments and lookups.  All marginal counts (Eqs. 1–6 of the memo)
-/// are sums over that entry list, either one query at a time
-/// ([`ContingencyTable::count_matching`]) or as a whole marginal table
-/// ([`ContingencyTable::marginal`]), so every operation costs O(distinct
-/// observed cells) — on a wide schema (2^20 cells, a few hundred observed)
+/// are sums over that entry list: one query at a time
+/// ([`ContingencyTable::count_matching`]), as a whole marginal table
+/// ([`ContingencyTable::marginal`]), or as many marginal tables filled in
+/// one walk ([`ContingencyTable::marginals`]).  Each walk costs O(distinct
+/// observed cells) — on a wide schema (2^20 cells, a few thousand observed)
 /// nothing walks or allocates the full joint.
 ///
 /// The wire form is `{"schema": …, "cells": [[id, count], …], "total": N}`
@@ -241,6 +242,13 @@ impl ContingencyTable {
     /// everything else), the operation behind Figure 2 of the memo.
     pub fn marginal(&self, vars: VarSet) -> Marginal {
         Marginal::from_table(self, vars)
+    }
+
+    /// Builds the marginal tables over every variable set in `varsets` in
+    /// one walk over the observed cells, decoding each cell once (see
+    /// [`MarginalCounts`]).
+    pub fn marginals(&self, varsets: impl IntoIterator<Item = VarSet>) -> MarginalCounts {
+        MarginalCounts::from_table(self, varsets)
     }
 
     /// Iterates over `(full values, count)` for every cell of the joint,

@@ -4,11 +4,13 @@
 use crate::config::AcquisitionConfig;
 use crate::error::CoreError;
 use crate::knowledge_base::KnowledgeBase;
-use crate::trace::{AcquisitionTrace, CellEvaluation, RoundTrace};
+use crate::trace::{AcquisitionTrace, CellEvaluation, RoundTrace, StageMicros};
 use crate::Result;
 use pka_contingency::{Assignment, ContingencyTable, VarSet};
-use pka_maxent::{ConstraintSet, FactorGraph, IncidenceCache, LogLinearModel, Solver};
+use pka_maxent::{Constraint, ConstraintSet, FactorGraph, IncidenceCache, LogLinearModel, Solver};
 use pka_significance::{CandidateCell, MessageLengthTest, RangeContext};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Factors of a warm-start seed model are raised to at least this value so
 /// cells a previous boundary fit drove to zero stay recoverable (see
@@ -169,17 +171,44 @@ impl Acquisition {
         let solver =
             Solver::new(self.config.convergence).with_dense_ceiling(self.config.dense_ceiling);
         let test = MessageLengthTest::new(self.config.priors);
-        // Above the ceiling, candidate scoring never scatters the joint:
-        // each candidate varset gets one eliminated marginal per round.
-        let score_factored = schema.cell_count() > self.config.dense_ceiling;
+        // Above the ceiling nothing scatters the joint: candidate scoring
+        // reads one eliminated marginal per varset per round, and the final
+        // normalisation divides by the factor graph's partition sum.
+        let factored = schema.cell_count() > self.config.dense_ceiling;
+        let max_order = self.config.effective_max_order(schema.len());
+
+        // Every observed count the run reads — the first-order targets, the
+        // priors, each candidate cell and the Eq. 41 bounds below it —
+        // comes from one walk over the observed cells: every varset up to
+        // the search order plus those of the priors, counted once.
+        let started = Instant::now();
+        let all = schema.all_vars();
+        let counts = table.marginals(
+            (1..=max_order)
+                .flat_map(|k| all.subsets_of_size(k))
+                .chain(prior_constraints.iter().map(Assignment::vars)),
+        );
+        let counting = started.elapsed();
+        let constrain = |constraints: &mut ConstraintSet, cell: Assignment| {
+            let p = counts.frequency(&cell);
+            constraints.add(Constraint::new(cell, p)?)
+        };
 
         // Step 1: first-order marginals are always constraints (Eq. 48) and
         // any prior knowledge is added on top; the resulting maximum-entropy
         // model is the independence model when there is no prior knowledge.
-        let mut constraints = ConstraintSet::first_order_from_table(table)?;
-        for prior in prior_constraints {
-            constraints.add_from_table(table, prior.clone())?;
+        let mut constraints = ConstraintSet::new(Arc::clone(&schema));
+        for vars in all.subsets_of_size(1) {
+            for values in schema.configurations(vars) {
+                constrain(&mut constraints, Assignment::new(vars, values))?;
+            }
         }
+        for prior in prior_constraints {
+            constrain(&mut constraints, prior.clone())?;
+        }
+        let mut solving = Duration::ZERO;
+        let mut scoring = Duration::ZERO;
+        let started = Instant::now();
         let (mut model, initial_fit) = match initial_model {
             Some(previous) => solver.fit_from_cached(previous, &constraints, cache)?,
             None => solver.fit_from_cached(
@@ -188,14 +217,17 @@ impl Acquisition {
                 cache,
             )?,
         };
+        solving += started.elapsed();
 
-        let mut trace = AcquisitionTrace { rounds: Vec::new(), initial_fit: Some(initial_fit) };
-
-        let max_order = self.config.effective_max_order(schema.len());
+        let mut trace = AcquisitionTrace {
+            rounds: Vec::new(),
+            initial_fit: Some(initial_fit),
+            stages: StageMicros::default(),
+        };
 
         // Step 2: search each order in turn.
         for order in 2..=max_order {
-            let candidate_sets: Vec<VarSet> = schema.all_vars().subsets_of_size(order);
+            let candidate_sets: Vec<VarSet> = all.subsets_of_size(order);
             let cells_at_order: usize =
                 candidate_sets.iter().map(|&s| schema.cell_count_of(s)).sum();
             if cells_at_order == 0 {
@@ -217,16 +249,17 @@ impl Acquisition {
                     break;
                 }
 
+                let started = Instant::now();
                 let known_higher = constraints.higher_order_assignments();
-                let range_ctx = RangeContext::new(table, &known_higher, &found_at_order);
+                let range_ctx = RangeContext::new(&counts, &known_higher, &found_at_order);
 
                 // Below the ceiling: one dense scatter of the model per
                 // round; every candidate is then scored by a stride walk over
                 // its covered cells instead of an O(factors) product per cell
                 // per candidate.  Above it: no scatter at all — candidates
                 // read their mass out of an eliminated marginal per varset.
-                let dense = if score_factored { Vec::new() } else { model.dense_probabilities() };
-                let graph = score_factored.then(|| FactorGraph::from_model(&model));
+                let dense = if factored { Vec::new() } else { model.dense_probabilities() };
+                let graph = factored.then(|| FactorGraph::from_model(&model));
 
                 // Score every unconstrained cell at this order.
                 let mut evaluations: Vec<CellEvaluation> = Vec::new();
@@ -241,7 +274,7 @@ impl Acquisition {
                         if constraints.contains(&assignment) {
                             continue;
                         }
-                        let observed = table.count_matching(&assignment);
+                        let observed = counts.count(&assignment);
                         let predicted_p = match &marginal {
                             Some(m) => m[config_index],
                             None => {
@@ -282,6 +315,7 @@ impl Acquisition {
                     }
                 }
 
+                scoring += started.elapsed();
                 let candidates = evaluations.len();
                 let significant_count = evaluations.iter().filter(|e| e.significant).count();
 
@@ -309,10 +343,12 @@ impl Acquisition {
                 // Promote the most significant cell and refit, warm-starting
                 // from the current a-values (Figure 4).
                 let selected = evaluations[best_index].assignment.clone();
-                constraints.add_from_table(table, selected.clone())?;
+                constrain(&mut constraints, selected.clone())?;
                 found_at_order.push(selected.clone());
+                let started = Instant::now();
                 let (new_model, fit_report) =
                     solver.fit_from_cached(model.clone(), &constraints, cache)?;
+                solving += started.elapsed();
                 model = new_model;
 
                 trace.rounds.push(RoundTrace {
@@ -332,17 +368,40 @@ impl Acquisition {
             }
         }
 
-        let knowledge_base =
-            KnowledgeBase::new(schema, constraints, normalized(model), table.total())?;
+        let started = Instant::now();
+        let model = normalized(model, factored);
+        trace.stages = StageMicros {
+            count_micros: micros(counting),
+            scoring_micros: micros(scoring),
+            solve_micros: micros(solving),
+            normalize_micros: micros(started.elapsed()),
+        };
+
+        let knowledge_base = KnowledgeBase::new(schema, constraints, model, table.total())?;
         Ok(AcquisitionOutcome { knowledge_base, trace })
     }
 }
 
-fn normalized(mut model: LogLinearModel) -> LogLinearModel {
-    // The solver leaves the model normalised to numerical precision; one
-    // final exact renormalisation keeps downstream queries clean.
-    let _ = model.normalize();
+/// The solver leaves the model normalised to numerical precision; one final
+/// exact renormalisation keeps downstream queries clean.  Above the dense
+/// ceiling the mass comes from the factor graph's partition sum, as in the
+/// factored solver, so the joint is never scattered.
+fn normalized(mut model: LogLinearModel, factored: bool) -> LogLinearModel {
+    if factored {
+        let z = FactorGraph::from_model(&model).partition();
+        if z > 0.0 && z.is_finite() {
+            model.scale_a0(1.0 / z);
+        }
+    } else {
+        let _ = model.normalize();
+    }
     model
+}
+
+/// Whole microseconds in a duration (truncated, so parts never sum past
+/// the wall time that contains them).
+fn micros(d: Duration) -> u64 {
+    d.as_micros() as u64
 }
 
 #[cfg(test)]

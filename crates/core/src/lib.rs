@@ -39,7 +39,7 @@ pub use error::CoreError;
 pub use knowledge_base::KnowledgeBase;
 pub use query::{Query, QueryResult};
 pub use rules::{induce_rules, Rule, RuleInductionConfig};
-pub use trace::{AcquisitionTrace, CellEvaluation, RoundTrace};
+pub use trace::{AcquisitionTrace, CellEvaluation, RoundTrace, StageMicros};
 
 /// Convenient result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

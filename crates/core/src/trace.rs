@@ -79,6 +79,26 @@ pub struct RoundTrace {
     pub fit_report: Option<SolveReport>,
 }
 
+/// Where one acquisition run spent its wall time, in whole microseconds.
+///
+/// The stages do not overlap and each is truncated separately, so their
+/// sum never exceeds the run's own wall time; the remainder is
+/// bookkeeping (constraint set and knowledge-base assembly, trace records).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct StageMicros {
+    /// The one walk over the observed cells that counts every marginal the
+    /// run reads.
+    pub count_micros: u64,
+    /// Candidate scoring across every round: the model's predicted
+    /// marginals (dense scatter or factored elimination), the Eq. 41
+    /// bounds and the message-length test.
+    pub scoring_micros: u64,
+    /// Solver fits: the initial fit plus one per promoted cell.
+    pub solve_micros: u64,
+    /// The final exact renormalisation of the model.
+    pub normalize_micros: u64,
+}
+
 /// The full history of an acquisition run.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct AcquisitionTrace {
@@ -86,6 +106,8 @@ pub struct AcquisitionTrace {
     pub rounds: Vec<RoundTrace>,
     /// Report of the initial (first-order only) fit.
     pub initial_fit: Option<SolveReport>,
+    /// Time per stage of the run.
+    pub stages: StageMicros,
 }
 
 impl AcquisitionTrace {
@@ -182,6 +204,7 @@ mod tests {
         let trace = AcquisitionTrace {
             rounds: vec![round(2, 1, true), round(2, 2, false), round(3, 1, false)],
             initial_fit: None,
+            stages: StageMicros::default(),
         };
         assert_eq!(trace.rounds_at_order(2).count(), 2);
         assert_eq!(trace.first_round_at_order(2).unwrap().round, 1);

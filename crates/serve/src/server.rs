@@ -318,6 +318,15 @@ pub struct RefitSummary {
     pub solver_iterations: usize,
     /// Wall-clock time of the refit, in microseconds.
     pub wall_micros: u64,
+    /// Part of `wall_micros` spent counting the observed marginals (one
+    /// walk over the observed cells).
+    pub count_micros: u64,
+    /// Part of `wall_micros` spent scoring candidate cells.
+    pub scoring_micros: u64,
+    /// Part of `wall_micros` spent in solver fits.
+    pub solve_micros: u64,
+    /// Part of `wall_micros` spent on the final model normalisation.
+    pub normalize_micros: u64,
 }
 
 impl RefitSummary {
@@ -329,6 +338,10 @@ impl RefitSummary {
             constraints: report.constraints,
             solver_iterations: report.solver_iterations,
             wall_micros: report.wall_time.as_micros() as u64,
+            count_micros: report.stages.count_micros,
+            scoring_micros: report.stages.scoring_micros,
+            solve_micros: report.stages.solve_micros,
+            normalize_micros: report.stages.normalize_micros,
         }
     }
 }
@@ -431,6 +444,8 @@ pub struct EngineStats {
     pub max_push_age_ms: Option<u64>,
     /// Per-source standing of the shard-placement map, in name order.
     pub sources: Vec<SourceStat>,
+    /// The most recent completed refit (`None` before the first).
+    pub last_refit: Option<RefitSummary>,
 }
 
 /// One remote source's standing, in wire form (the `sources` array of a
@@ -1154,6 +1169,7 @@ fn handle_command(
                 checkpoints_written: durability.checkpoints_written,
                 max_push_age_ms,
                 sources,
+                last_refit: engine.last_refit().map(RefitSummary::from_report),
             });
         }
         command @ EngineCommand::AbsorbShard { .. } => absorb_shard_batch(engine, vec![command]),

@@ -112,6 +112,11 @@ fn concurrent_ingest_and_queries_match_one_shot_acquisition() {
                         if refit.warm_started {
                             warm_refits += 1;
                         }
+                        let stages = refit.count_micros
+                            + refit.scoring_micros
+                            + refit.solve_micros
+                            + refit.normalize_micros;
+                        assert!(stages <= refit.wall_micros, "refit stages exceed wall: {refit:?}");
                     }
                     barrier.wait();
                 }
@@ -144,6 +149,8 @@ fn concurrent_ingest_and_queries_match_one_shot_acquisition() {
         "warm refits should have reused the incidence cache: {stats:?}"
     );
     assert!(stats.solver_sweeps > 0, "refits must surface their sweep counts: {stats:?}");
+    let last = stats.last_refit.as_ref().expect("stats report the last refit");
+    assert_eq!(last.version, ROUNDS as u64, "the last refit published the last version");
 
     // Every joint cell, queried over the wire, matches one-shot within
     // 1e-9 (floats survive the wire bit-for-bit, so the tolerance is the

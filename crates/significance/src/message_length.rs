@@ -221,7 +221,8 @@ mod tests {
     /// second-order candidate cells.
     fn evaluate_paper_cell(pairs: [(usize, usize); 2], predicted_p: f64) -> MessageLengths {
         let t = paper_table();
-        let ctx = RangeContext::new(&t, &[], &[]);
+        let counts = t.marginals(t.schema().all_vars().subsets_of_size(1));
+        let ctx = RangeContext::new(&counts, &[], &[]);
         let assignment = Assignment::from_pairs(pairs);
         let observed = t.count_matching(&assignment);
         let range = ctx.range_of(&assignment);
@@ -300,7 +301,8 @@ mod tests {
     #[test]
     fn evaluate_rejects_inconsistent_inputs() {
         let t = paper_table();
-        let ctx = RangeContext::new(&t, &[], &[]);
+        let counts = t.marginals(t.schema().all_vars().subsets_of_size(1));
+        let ctx = RangeContext::new(&counts, &[], &[]);
         let a = Assignment::from_pairs([(0, 0), (1, 0)]);
         let range = ctx.range_of(&a);
         let test = MessageLengthTest::default();

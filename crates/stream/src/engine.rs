@@ -10,7 +10,7 @@ use crate::shard::CountShard;
 use crate::snapshot::{Snapshot, SnapshotHandle, SnapshotMeta};
 use crate::Result;
 use pka_contingency::{ContingencyTable, Dataset, Sample, Schema};
-use pka_core::{Acquisition, AcquisitionConfig, KnowledgeBase};
+use pka_core::{Acquisition, AcquisitionConfig, KnowledgeBase, StageMicros};
 use pka_maxent::{CacheStats, IncidenceCache};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -99,6 +99,9 @@ pub struct RefitReport {
     pub solver_iterations: usize,
     /// Wall-clock time of the refit.
     pub wall_time: Duration,
+    /// Where the acquisition run inside the refit spent its time; the
+    /// stages sum to at most `wall_time`.
+    pub stages: StageMicros,
 }
 
 /// What one ingest call did.
@@ -257,6 +260,8 @@ pub struct StreamingEngine {
     next_version: u64,
     handle: SnapshotHandle,
     refits: u64,
+    /// The most recent completed refit, surfaced through `pka-serve` stats.
+    last_refit: Option<RefitReport>,
     /// Solver sweeps spent across every refit so far — the cost the warm
     /// starts and the incidence cache exist to reduce, surfaced through
     /// [`StreamingEngine::total_solver_iterations`] and `pka-serve` stats.
@@ -294,6 +299,7 @@ impl StreamingEngine {
             next_version: 1,
             handle: SnapshotHandle::new(),
             refits: 0,
+            last_refit: None,
             solver_iterations: 0,
             solver_cache: IncidenceCache::new(),
             lattice_order: config.lattice_order,
@@ -353,6 +359,11 @@ impl StreamingEngine {
     /// Number of refits performed so far.
     pub fn refit_count(&self) -> u64 {
         self.refits
+    }
+
+    /// The report of the most recent completed refit.
+    pub fn last_refit(&self) -> Option<&RefitReport> {
+        self.last_refit.as_ref()
     }
 
     /// Reuse counters of the solver's incidence cache — how often refits
@@ -759,6 +770,7 @@ impl StreamingEngine {
             constraints: outcome.knowledge_base.constraints().len(),
             solver_iterations: outcome.trace.total_solver_iterations(),
             wall_time,
+            stages: outcome.trace.stages,
         };
         self.handle.publish(Snapshot::with_lattice_order_and_ceiling(
             outcome.knowledge_base,
@@ -768,6 +780,7 @@ impl StreamingEngine {
             self.lattice_order,
             self.acquisition.config().dense_ceiling,
         ));
+        self.last_refit = Some(report.clone());
         Ok(report)
     }
 }
@@ -821,6 +834,28 @@ mod tests {
             (first.solver_iterations + second.solver_iterations) as u64,
             "cumulative sweep counter must track every refit"
         );
+    }
+
+    #[test]
+    fn refit_stages_fit_inside_the_wall_time() {
+        let config = StreamConfig::new().with_policy(RefreshPolicy::Manual);
+        let mut engine = StreamingEngine::new(schema(), config).unwrap();
+        assert!(engine.last_refit().is_none());
+        engine.ingest_batch(&correlated_rows(200)).unwrap();
+        for _ in 0..2 {
+            let report = engine.refresh().unwrap();
+            let stages = report.stages;
+            let sum = stages.count_micros
+                + stages.scoring_micros
+                + stages.solve_micros
+                + stages.normalize_micros;
+            assert!(
+                sum <= report.wall_time.as_micros() as u64,
+                "stages {stages:?} exceed the wall time {:?}",
+                report.wall_time
+            );
+            assert_eq!(engine.last_refit().map(|r| r.version), Some(report.version));
+        }
     }
 
     #[test]
